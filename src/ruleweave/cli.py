@@ -42,8 +42,7 @@ from .evaluation import (
     run_condition,
     sample_dataset,
 )
-from .ontology import ABox, Iri
-from .pipeline import CLASS_PREDICATE, Condition, load_traces, parse_condition
+from .pipeline import Condition, load_traces, parse_condition, restore_abox
 from .query import execute, format_tsv, parse_query
 from .tasklib import (
     BUILTIN_TASK_IDS,
@@ -54,7 +53,16 @@ from .tasklib import (
     serialize_task,
 )
 
-_CONFIG_KEYS = ("endpoint", "model", "max_concurrency", "rpm", "temperature", "timeout")
+_NUMBER = ((int, float), "a number")
+# key -> (accepted JSON value types, how the error message names them)
+_CONFIG_TYPES = {
+    "endpoint": ((str,), "a string"),
+    "model": ((str,), "a string"),
+    "max_concurrency": ((int,), "an integer"),
+    "rpm": ((int, float, type(None)), "a number or null"),
+    "temperature": _NUMBER,
+    "timeout": _NUMBER,
+}
 
 _COMP_ON = {Condition.SD: Condition.SD_COMP, Condition.SD_DIRECT: Condition.SD_DIRECT_COMP}
 _COMP_OFF = {after: before for before, after in _COMP_ON.items()}
@@ -86,9 +94,13 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    unknown = sorted(set(raw) - set(_CONFIG_TYPES))
     if unknown:
         raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
+    for key, value in raw.items():
+        types, expected = _CONFIG_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{path}: config key {key!r} must be {expected}, got {value!r}")
     return raw
 
 
@@ -263,31 +275,17 @@ def cmd_query(args) -> int:
     if unknown:
         raise DatasetError(f"instance {sorted(unknown)[0]!r} not present in {args.trace}")
 
-    abox = ABox(task.tbox)
-    merged = 0
-    for record in records:
-        if wanted and record["instance_id"] not in wanted:
-            continue
-        snapshot = record.get("abox_snapshot")
-        if not snapshot:
-            continue
-        merged += 1
-        for triple in snapshot:
-            subject = Iri.parse(triple["subject"])
-            if triple["predicate"] == CLASS_PREDICATE:
-                abox.assert_class(subject, Iri.parse(triple["object"]), triple["origin"])
-            else:
-                abox.assert_property(
-                    subject,
-                    Iri.parse(triple["predicate"]),
-                    Iri.parse(triple["object"]),
-                    triple["origin"],
-                )
-    if merged == 0:
+    snapshots = [
+        record["abox_snapshot"]
+        for record in records
+        if (not wanted or record["instance_id"] in wanted) and record.get("abox_snapshot")
+    ]
+    if not snapshots:
         raise DatasetError(
             f"{args.trace} holds no ABox snapshots; query needs traces from a "
             "reasoner-backed condition (SD or SD-Comp)"
         )
+    abox = restore_abox(task.tbox, (triple for snapshot in snapshots for triple in snapshot))
     rows = execute(query, task.tbox, abox)
     sys.stdout.write(format_tsv(query, rows))
     return 0

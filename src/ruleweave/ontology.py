@@ -190,12 +190,16 @@ class TBox:
         self.subclass_axioms: list[tuple[Iri, Iri]] = []
         self.disjoint_axioms: list[tuple[Iri, Iri]] = []
         self.rules: list[SwrlRule] = []
+        # Reflexive-transitive superclass map. Rebuilt whole and swapped in
+        # by every mutation, so reads never write and need no lock.
+        self.closure: dict[Iri, frozenset[Iri]] = {}
 
     # -- declarations ------------------------------------------------------
 
     def declare_class(self, iri: Iri) -> None:
         self._require_iri(iri)
         self.classes.add(iri)
+        self._close()
 
     def declare_property(
         self,
@@ -215,16 +219,18 @@ class TBox:
                 raise UndeclaredError(f"subclass axiom references undeclared class {c}")
         if sub == super_:
             raise SubclassCycleError(f"self-loop {sub} subClassOf {sub} is forbidden")
-        if sub in self._reachable(super_):
+        if sub in self.closure[super_]:
             raise SubclassCycleError(f"{sub} subClassOf {super_} would close a cycle")
         edge = (sub, super_)
         if edge in self.subclass_axioms:
             return
         self.subclass_axioms.append(edge)
+        self._close()
         try:
             self._check_disjoint_axioms()
         except DisjointnessError:
             self.subclass_axioms.remove(edge)
+            self._close()
             raise
 
     def add_disjoint(self, a: Iri, b: Iri) -> None:
@@ -256,24 +262,29 @@ class TBox:
 
     # -- queries over the hierarchy ----------------------------------------
 
-    def superclasses(self, cls: Iri) -> set[Iri]:
+    def superclasses(self, cls: Iri) -> frozenset[Iri]:
         """Reflexive-transitive superclass set of one class."""
-        return self._reachable(cls)
+        return self.closure.get(cls, frozenset((cls,)))
 
-    def _reachable(self, start: Iri) -> set[Iri]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for sub, sup in self.subclass_axioms:
-                if sub == node and sup not in seen:
-                    seen.add(sup)
-                    frontier.append(sup)
-        return seen
+    def _close(self) -> None:
+        direct: dict[Iri, list[Iri]] = {cls: [] for cls in self.classes}
+        for sub, sup in self.subclass_axioms:
+            direct[sub].append(sup)
+        closure: dict[Iri, frozenset[Iri]] = {}
+        for cls in self.classes:
+            seen = {cls}
+            frontier = [cls]
+            while frontier:
+                for sup in direct[frontier.pop()]:
+                    if sup not in seen:
+                        seen.add(sup)
+                        frontier.append(sup)
+            closure[cls] = frozenset(seen)
+        self.closure = closure
 
     def _check_disjoint_axioms(self) -> None:
         for a, b in self.disjoint_axioms:
-            if b in self._reachable(a) or a in self._reachable(b):
+            if b in self.closure[a] or a in self.closure[b]:
                 raise DisjointnessError(
                     f"disjoint({a}, {b}) contradicts the subclass hierarchy"
                 )
@@ -309,6 +320,14 @@ class ABox:
     Duplicate keys keep the first origin; asserting the same fact twice is
     a no-op, not an error. One ABox belongs to one evaluation instance and
     is never shared across threads.
+
+    Besides the origin-tagged fact dicts, the ABox keeps an index that the
+    reasoner and the query engine read instead of scanning every fact:
+    `direct_classes` maps an individual to the classes recorded for it, and
+    `pairs` maps a property to its (subject, object) pairs. The index holds
+    no subclass closure; that is read from the TBox at lookup time, so a
+    subclass axiom added after a fact is still seen. Callers must not
+    mutate either map.
     """
 
     def __init__(self, tbox: TBox):
@@ -316,6 +335,8 @@ class ABox:
         self.individuals: set[Iri] = set()
         self.class_assertions: dict[tuple[Iri, Iri], Origin] = {}
         self.property_assertions: dict[tuple[Iri, Iri, Iri], Origin] = {}
+        self.direct_classes: dict[Iri, set[Iri]] = {}
+        self.pairs: dict[Iri, set[tuple[Iri, Iri]]] = {}
 
     # -- public, validated entry points -------------------------------------
 
@@ -350,6 +371,7 @@ class ABox:
         if key in self.class_assertions:
             return False
         self.class_assertions[key] = origin
+        self.direct_classes.setdefault(individual, set()).add(cls)
         return True
 
     def _insert_property(
@@ -363,26 +385,37 @@ class ABox:
         if key in self.property_assertions:
             return False
         self.property_assertions[key] = origin
+        self.pairs.setdefault(prop, set()).add((subject, obj))
         return True
 
     # -- lookups -------------------------------------------------------------
 
     def classes_of(self, individual: Iri) -> set[Iri]:
         """Directly recorded classes (asserted or inferred), no closure."""
-        return {cls for (ind, cls) in self.class_assertions if ind == individual}
+        return set(self.direct_classes.get(individual, ()))
 
     def is_member(self, individual: Iri, cls: Iri) -> bool:
         """Membership with subclass closure over recorded classes."""
-        return any(
-            cls in self.tbox.superclasses(direct)
-            for direct in self.classes_of(individual)
-        )
+        closure = self.tbox.closure
+        return any(cls in closure[direct] for direct in self.direct_classes.get(individual, ()))
+
+    def members(self) -> dict[Iri, set[Iri]]:
+        """Class -> individuals recorded in it or in any of its subclasses."""
+        closure = self.tbox.closure
+        members: dict[Iri, set[Iri]] = {}
+        for individual, classes in self.direct_classes.items():
+            for direct in classes:
+                for cls in closure[direct]:
+                    members.setdefault(cls, set()).add(individual)
+        return members
 
     def copy(self) -> "ABox":
         dup = ABox(self.tbox)
         dup.individuals = set(self.individuals)
         dup.class_assertions = dict(self.class_assertions)
         dup.property_assertions = dict(self.property_assertions)
+        dup.direct_classes = {ind: set(classes) for ind, classes in self.direct_classes.items()}
+        dup.pairs = {prop: set(pairs) for prop, pairs in self.pairs.items()}
         return dup
 
     def sorted_class_assertions(self):

@@ -17,7 +17,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Iterable, Optional
 
 from .backends import Backend
 from .errors import BackendError, ConfigError, MalformedResponseError, NotExtractable
@@ -38,7 +38,7 @@ from .extraction import (
     parse_entity_response,
     run_step,
 )
-from .ontology import ABox, Asserted, Inferred, Iri
+from .ontology import ABox, Asserted, Inferred, Iri, TBox
 from .reasoner import classify, forward_chain
 from .tasklib import BELONGS_TO_CASE, BINARY, TaskDefinition, UNARY
 
@@ -159,9 +159,12 @@ def _assertions_to_dict(assertions: AssertionExtraction) -> dict:
     }
 
 
+_ASSERTED = "asserted:"
+
+
 def _origin_text(origin) -> str:
     if isinstance(origin, Asserted):
-        return f"asserted:{origin.justification}"
+        return f"{_ASSERTED}{origin.justification}"
     assert isinstance(origin, Inferred)
     return f"inferred:{origin.rule_name}"
 
@@ -198,15 +201,13 @@ def render_snapshot(snapshot: list[dict]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def rebuild_asserted_abox(task: TaskDefinition, snapshot: list[dict]) -> ABox:
-    """Reconstruct the asserted portion of a snapshot against the task TBox."""
-    abox = ABox(task.tbox)
-    prefix = "asserted:"
+def restore_abox(tbox: TBox, snapshot: Iterable[dict]) -> ABox:
+    """Assert snapshot triples through the validated ABox API, so a triple
+    naming an undeclared class or property raises. The justification is the
+    origin text without its "asserted:" prefix."""
+    abox = ABox(tbox)
     for triple in snapshot:
-        origin = triple["origin"]
-        if not origin.startswith(prefix):
-            continue
-        justification = origin[len(prefix):]
+        justification = triple["origin"].removeprefix(_ASSERTED)
         subject = Iri.parse(triple["subject"])
         if triple["predicate"] == CLASS_PREDICATE:
             abox.assert_class(subject, Iri.parse(triple["object"]), justification)
@@ -215,6 +216,11 @@ def rebuild_asserted_abox(task: TaskDefinition, snapshot: list[dict]) -> ABox:
                 subject, Iri.parse(triple["predicate"]), Iri.parse(triple["object"]), justification
             )
     return abox
+
+
+def rebuild_asserted_abox(task: TaskDefinition, snapshot: list[dict]) -> ABox:
+    """Reconstruct the asserted portion of a snapshot against the task TBox."""
+    return restore_abox(task.tbox, (t for t in snapshot if t["origin"].startswith(_ASSERTED)))
 
 
 def replay_reasoning(task: TaskDefinition, trace: dict) -> tuple[str, bool]:

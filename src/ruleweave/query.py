@@ -18,11 +18,11 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .errors import QuerySyntaxError
 from .ontology import ABox, Iri, TBox, Variable
-from .reasoner import subclass_closure
+from .reasoner import _unify
 
 log = logging.getLogger(__name__)
 
@@ -256,17 +256,6 @@ def execute(query: Query, tbox: TBox, abox: ABox) -> list[BindingRow]:
     TBox yield an empty result with a logged warning, per the contract that
     a dangling reference is a data problem, not a crash.
     """
-    closure = subclass_closure(tbox)
-    members: dict[Iri, set[Iri]] = {}
-    membership_pairs: list[tuple[Iri, Iri]] = []
-    for (individual, cls) in abox.class_assertions:
-        for super_cls in closure[cls]:
-            population = members.setdefault(super_cls, set())
-            if individual not in population:
-                population.add(individual)
-                membership_pairs.append((individual, super_cls))
-    triples = list(abox.property_assertions)
-
     resolved_patterns: list[tuple] = []
     for pattern in query.patterns:
         terms = []
@@ -295,39 +284,31 @@ def execute(query: Query, tbox: TBox, abox: ABox) -> list[BindingRow]:
                 terms.append(term)
         resolved_patterns.append(tuple(terms))
 
-    def unify(term, value: Iri, binding: dict[str, Iri]) -> Optional[dict[str, Iri]]:
-        if isinstance(term, Variable):
-            bound = binding.get(term.name)
-            if bound is None:
-                extended = dict(binding)
-                extended[term.name] = value
-                return extended
-            return binding if bound == value else None
-        return binding if term == value else None
+    members = abox.members()
+
+    def facts(predicate, obj) -> list[tuple]:
+        """(subject, predicate, object) facts that can match the pattern."""
+        if predicate == CLASS_KEYWORD:
+            classes = [obj] if isinstance(obj, Iri) else list(members)
+            return [(ind, predicate, cls) for cls in classes for ind in members.get(cls, ())]
+        properties = [predicate] if isinstance(predicate, Iri) else list(abox.pairs)
+        return [(s, p, o) for p in properties for s, o in abox.pairs.get(p, ())]
 
     bindings: list[dict[str, Iri]] = [{}]
     for subject, predicate, obj in resolved_patterns:
+        candidates = facts(predicate, obj)
         extended: list[dict[str, Iri]] = []
         for binding in bindings:
-            if predicate == CLASS_KEYWORD:
-                for individual, cls in membership_pairs:
-                    after_subject = unify(subject, individual, binding)
-                    if after_subject is None:
-                        continue
-                    complete = unify(obj, cls, after_subject)
-                    if complete is not None:
-                        extended.append(complete)
-            else:
-                for s, p, o in triples:
-                    after_predicate = unify(predicate, p, binding)
-                    if after_predicate is None:
-                        continue
-                    after_subject = unify(subject, s, after_predicate)
-                    if after_subject is None:
-                        continue
-                    complete = unify(obj, o, after_subject)
-                    if complete is not None:
-                        extended.append(complete)
+            for s, p, o in candidates:
+                after_predicate = _unify(predicate, p, binding)
+                if after_predicate is None:
+                    continue
+                after_subject = _unify(subject, s, after_predicate)
+                if after_subject is None:
+                    continue
+                complete = _unify(obj, o, after_subject)
+                if complete is not None:
+                    extended.append(complete)
         bindings = extended
         if not bindings:
             return []

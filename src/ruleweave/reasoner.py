@@ -14,18 +14,23 @@ iterate-to-fixpoint oracle and checks set-equality of the inferred facts on
 randomized inputs, so the delta bookkeeping here is not trusted by fiat.
 
 Ordering guarantees, purely so `fired` logs are reproducible: rules are
-evaluated in declaration order, candidate bindings for one rule within one
-round are applied in sorted order (variables sorted by name, values by Iri),
-and a (rule, binding) pair is logged only when it adds a fact that was not
-already present. Inconsistency never halts chaining; violations are
-collected after the fixpoint and reported in the result.
+evaluated in declaration order, and a (rule, binding) pair is logged only
+when it adds a fact that was not already present. Within one rule and one
+round, the complete matches are sorted (variables by name, values by Iri)
+before any of them fires; that sort alone fixes the `fired` order, so the
+order in which partial matches are enumerated, and hence the order of the
+fact index's sets, does not matter. Facts derived in a round become visible
+only in the next round, which the `fired` order also depends on.
+Inconsistency never halts chaining; violations are collected after the
+fixpoint and reported in the result.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from .ontology import (
     ABox,
@@ -54,20 +59,10 @@ class InferenceResult:
     fired: list[tuple[str, Binding]] = field(default_factory=list)
 
 
-def subclass_closure(tbox: TBox) -> dict[Iri, set[Iri]]:
-    """Reflexive-transitive superclass map for every declared class."""
-    closure: dict[Iri, set[Iri]] = {}
-    for cls in tbox.classes:
-        seen = {cls}
-        frontier = [cls]
-        while frontier:
-            node = frontier.pop()
-            for sub, sup in tbox.subclass_axioms:
-                if sub == node and sup not in seen:
-                    seen.add(sup)
-                    frontier.append(sup)
-        closure[cls] = seen
-    return closure
+def subclass_closure(tbox: TBox) -> Mapping[Iri, frozenset[Iri]]:
+    """Reflexive-transitive superclass map for every declared class: a
+    read-only view of the map the TBox keeps."""
+    return MappingProxyType(tbox.closure)
 
 
 def _unify(term, value: Iri, binding: Binding) -> Optional[Binding]:
@@ -93,7 +88,7 @@ def _extend(
         population = members.get(atom.cls, frozenset())
         term = atom.term
         if isinstance(term, Variable) and term.name not in binding:
-            for individual in sorted(population):
+            for individual in population:
                 extended = dict(binding)
                 extended[term.name] = individual
                 yield extended
@@ -102,7 +97,7 @@ def _extend(
             if value in population:
                 yield binding
     else:
-        for subject, obj in sorted(pairs.get(atom.prop, frozenset())):
+        for subject, obj in pairs.get(atom.prop, frozenset()):
             extended = _unify(atom.subject, subject, binding)
             if extended is None:
                 continue
@@ -153,34 +148,17 @@ def forward_chain(tbox: TBox, abox: ABox) -> InferenceResult:
     closure = subclass_closure(tbox)
     work = abox.copy()
 
-    full_members: dict[Iri, set[Iri]] = {}
-    full_pairs: dict[Iri, set[tuple[Iri, Iri]]] = {}
-    delta_memberships: list[tuple[Iri, Iri]] = []
-    delta_triples: list[tuple[Iri, Iri, Iri]] = []
-
-    for (individual, cls) in work.class_assertions:
-        for super_cls in closure[cls]:
-            if individual not in full_members.setdefault(super_cls, set()):
-                full_members[super_cls].add(individual)
-                delta_memberships.append((individual, super_cls))
-    for (subject, prop, obj) in work.property_assertions:
-        pair = (subject, obj)
-        if pair not in full_pairs.setdefault(prop, set()):
-            full_pairs[prop].add(pair)
-            delta_triples.append((subject, prop, obj))
+    # A copy of the index: `work` gains facts during a round, and they must
+    # stay invisible until the next. All facts count as new in the first round.
+    full_members = work.members()
+    full_pairs = {prop: set(pairs) for prop, pairs in work.pairs.items()}
+    delta_members, delta_pairs = full_members, full_pairs
 
     fired: list[tuple[str, Binding]] = []
 
-    while delta_memberships or delta_triples:
-        delta_members: dict[Iri, set[Iri]] = {}
-        for individual, cls in delta_memberships:
-            delta_members.setdefault(cls, set()).add(individual)
-        delta_pairs: dict[Iri, set[tuple[Iri, Iri]]] = {}
-        for subject, prop, obj in delta_triples:
-            delta_pairs.setdefault(prop, set()).add((subject, obj))
-
-        next_memberships: list[tuple[Iri, Iri]] = []
-        next_triples: list[tuple[Iri, Iri, Iri]] = []
+    while delta_members or delta_pairs:
+        next_members: dict[Iri, set[Iri]] = {}
+        next_pairs: dict[Iri, set[tuple[Iri, Iri]]] = {}
 
         for rule in tbox.rules:
             bindings = _rule_bindings(
@@ -194,8 +172,8 @@ def forward_chain(tbox: TBox, abox: ABox) -> InferenceResult:
                         continue
                     fired.append((rule.name, binding))
                     for super_cls in closure[head.cls]:
-                        if individual not in full_members.setdefault(super_cls, set()):
-                            next_memberships.append((individual, super_cls))
+                        if individual not in full_members.get(super_cls, ()):
+                            next_members.setdefault(super_cls, set()).add(individual)
                 else:
                     subject = _ground(head.subject, binding)
                     obj = _ground(head.object, binding)
@@ -204,16 +182,15 @@ def forward_chain(tbox: TBox, abox: ABox) -> InferenceResult:
                     ):
                         continue
                     fired.append((rule.name, binding))
-                    if (subject, obj) not in full_pairs.setdefault(head.prop, set()):
-                        next_triples.append((subject, head.prop, obj))
+                    next_pairs.setdefault(head.prop, set()).add((subject, obj))
 
         # Facts derived this round become visible (and "new") next round.
-        for individual, cls in next_memberships:
-            full_members.setdefault(cls, set()).add(individual)
-        for subject, prop, obj in next_triples:
-            full_pairs.setdefault(prop, set()).add((subject, obj))
-        delta_memberships = next_memberships
-        delta_triples = next_triples
+        for cls, members in next_members.items():
+            full_members.setdefault(cls, set()).update(members)
+        for prop, pairs in next_pairs.items():
+            full_pairs.setdefault(prop, set()).update(pairs)
+        delta_members = next_members
+        delta_pairs = next_pairs
 
     violations = check_consistency(tbox, work)
     return InferenceResult(
@@ -229,16 +206,13 @@ def check_consistency(tbox: TBox, abox: ABox) -> list[tuple[Iri, Iri, Iri]]:
     sides of, membership expanded through the subclass closure."""
     if not tbox.disjoint_axioms:
         return []
-    closure = subclass_closure(tbox)
-    violations: list[tuple[Iri, Iri, Iri]] = []
-    for individual in sorted(abox.individuals):
-        membership: set[Iri] = set()
-        for cls in abox.classes_of(individual):
-            membership.update(closure[cls])
-        for a, b in tbox.disjoint_axioms:
-            if a in membership and b in membership:
-                violations.append((individual, a, b))
-    return violations
+    members = abox.members()
+    return [
+        (individual, a, b)
+        for individual in sorted(abox.individuals)
+        for a, b in tbox.disjoint_axioms
+        if individual in members.get(a, ()) and individual in members.get(b, ())
+    ]
 
 
 def classify(result: InferenceResult, individual: Iri, target_class: Iri) -> bool:

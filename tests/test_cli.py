@@ -150,6 +150,20 @@ def test_run_missing_dataset_exits_4(capsys, tmp_path):
     assert err.startswith("dataset error:")
 
 
+@pytest.mark.parametrize(
+    "config, key", [({"rpm": "60"}, "rpm"), ({"max_concurrency": "four"}, "max_concurrency")]
+)
+def test_run_config_value_of_wrong_type_exits_2(capsys, tmp_path, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, err = run_hearsay(
+        capsys, tmp_path, "--backend", "http", "--model", "m", "--config", str(path)
+    )
+    assert code == 2
+    assert err.startswith("config error:")
+    assert repr(key) in err
+
+
 # -- report ----------------------------------------------------------------------------
 
 

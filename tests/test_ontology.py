@@ -131,9 +131,11 @@ def test_disjoint_rejects_ancestor():
 def test_subclass_that_contradicts_disjoint_is_rolled_back():
     tbox = make_tbox()
     tbox.add_disjoint(H_HEARSAY, H_STATEMENT)
+    before = tbox.superclasses(H_HEARSAY)
     with pytest.raises(DisjointnessError):
         tbox.add_subclass(H_HEARSAY, H_STATEMENT)
     assert (H_HEARSAY, H_STATEMENT) not in tbox.subclass_axioms
+    assert tbox.superclasses(H_HEARSAY) == before == {H_HEARSAY}
 
 
 def test_declare_property_checks_domain_declared():
@@ -259,6 +261,16 @@ def test_domain_satisfied_through_subclass_closure():
     abox.assert_property(s1, prop, Iri("i", "z"), "domain via closure")
 
 
+def test_is_member_sees_subclass_axiom_added_after_the_fact():
+    tbox = make_tbox()
+    abox = ABox(tbox)
+    s1 = Iri("i", "s1")
+    abox.assert_class(s1, H_HEARSAY, "recorded before the axiom")
+    assert not abox.is_member(s1, H_STATEMENT)
+    tbox.add_subclass(H_HEARSAY, H_STATEMENT)
+    assert abox.is_member(s1, H_STATEMENT)
+
+
 def test_justification_must_be_nonempty():
     with pytest.raises(OntologyError):
         Asserted("")
@@ -281,6 +293,9 @@ def test_abox_copy_is_independent():
     assert len(abox.class_assertions) == 1
     assert len(dup.class_assertions) == 2
     assert dup.tbox is tbox
+    assert abox.is_member(Iri("i", "s1"), H_OOC) and dup.is_member(Iri("i", "s1"), H_OOC)
+    assert not abox.is_member(Iri("i", "s2"), H_OOC)
+    assert dup.is_member(Iri("i", "s2"), H_OOC)
 
 
 def test_inferred_origin_carries_rule_name():

@@ -23,6 +23,8 @@ from ruleweave.reasoner import (
     subclass_closure,
 )
 
+from ruleweave.pipeline import snapshot_abox
+
 from .oracles import oracle_closure, random_instance, run_equivalence_batch
 
 S = Iri("h", "Statement")
@@ -221,6 +223,27 @@ def test_determinism_two_runs_identical():
     assert first.fired == second.fired
     assert first.abox == second.abox
     assert first.violations == second.violations
+
+
+def test_fact_insertion_order_does_not_change_the_result():
+    rng = random.Random(23)
+    for _ in range(200):
+        tbox, abox = random_instance(rng)
+        shuffled = ABox(tbox)
+        classes = list(abox.class_assertions.items())
+        properties = list(abox.property_assertions.items())
+        rng.shuffle(classes)
+        rng.shuffle(properties)
+        for (individual, cls), origin in classes:
+            shuffled._insert_class(individual, cls, origin)
+        for (subject, prop, obj), origin in properties:
+            shuffled._insert_property(subject, prop, obj, origin)
+        first, second = forward_chain(tbox, abox), forward_chain(tbox, shuffled)
+        assert [(name, list(b.items())) for name, b in first.fired] == [
+            (name, list(b.items())) for name, b in second.fired
+        ]
+        assert first.violations == second.violations
+        assert snapshot_abox(first.abox) == snapshot_abox(second.abox)
 
 
 def test_every_inferred_fact_names_a_fired_rule():
