@@ -291,6 +291,109 @@ def test_evaluate_instance_dispatch(hearsay):
         assert trace.prediction == "Yes"
 
 
+# -- fault matrix -------------------------------------------------------------------
+#
+# Every condition against every fault a scripted reply can carry. An expected
+# row is (outcome, prediction, error substring, number of raw exchanges, the
+# trace fields that are not null): E entity_extraction, A assertion_extraction,
+# S abox_snapshot, F fired. A garbage reply costs two exchanges (the reply and
+# its repair); a missing replay entry costs none, since the backend raises
+# before anything comes back.
+
+_FIELDS = {
+    "E": "entity_extraction",
+    "A": "assertion_extraction",
+    "S": "abox_snapshot",
+    "F": "fired",
+}
+
+_FAULT_STEPS = ("assertion", "assertion_comp", "direct", "direct_comp", "fs", "cot")
+
+_CLEAN = {
+    Condition.FS: ("Ok", "Yes", None, 1, ""),
+    Condition.COT: ("Ok", "Yes", None, 1, ""),
+    Condition.SD: ("Ok", "Yes", None, 2, "EASF"),
+    Condition.SD_COMP: ("Ok", "Yes", None, 2, "EASF"),
+    Condition.SD_DIRECT: ("Ok", "Yes", None, 3, "EA"),
+    Condition.SD_DIRECT_COMP: ("Ok", "Yes", None, 3, "EA"),
+}
+
+_GARBAGE = "after repair"
+_MISSING = "no scripted response"
+_DECOMPOSED = (Condition.SD, Condition.SD_COMP, Condition.SD_DIRECT, Condition.SD_DIRECT_COMP)
+
+# Only the conditions a fault reaches are listed; every other condition never
+# issues the faulty step and yields its _CLEAN row.
+_FAULT_MATRIX = {
+    "ok": {},
+    "entity garbage": {c: ("Error", None, _GARBAGE, 2, "") for c in _DECOMPOSED},
+    "entity missing": {c: ("Error", None, _MISSING, 0, "") for c in _DECOMPOSED},
+    "entity not found": {c: ("NotExtractable", "No", "Statement", 1, "") for c in _DECOMPOSED},
+    "assertion garbage": {
+        Condition.SD: ("Error", None, _GARBAGE, 3, ""),
+        Condition.SD_DIRECT: ("Error", None, _GARBAGE, 3, ""),
+    },
+    "assertion_comp garbage": {
+        Condition.SD_COMP: ("Error", None, _GARBAGE, 3, ""),
+        Condition.SD_DIRECT_COMP: ("Error", None, _GARBAGE, 3, ""),
+    },
+    "direct garbage": {Condition.SD_DIRECT: ("Error", None, _GARBAGE, 4, "EA")},
+    "direct_comp garbage": {Condition.SD_DIRECT_COMP: ("Error", None, _GARBAGE, 4, "EA")},
+    "fs garbage": {Condition.FS: ("Error", None, _GARBAGE, 2, "")},
+    "cot garbage": {Condition.COT: ("Error", None, _GARBAGE, 2, "")},
+    "assertion missing": {
+        Condition.SD: ("Error", None, _MISSING, 1, ""),
+        Condition.SD_DIRECT: ("Error", None, _MISSING, 1, ""),
+    },
+    "assertion_comp missing": {
+        Condition.SD_COMP: ("Error", None, _MISSING, 1, ""),
+        Condition.SD_DIRECT_COMP: ("Error", None, _MISSING, 1, ""),
+    },
+    "direct missing": {Condition.SD_DIRECT: ("Error", None, _MISSING, 2, "EA")},
+    "direct_comp missing": {Condition.SD_DIRECT_COMP: ("Error", None, _MISSING, 2, "EA")},
+    "fs missing": {Condition.FS: ("Error", None, _MISSING, 0, "")},
+    "cot missing": {Condition.COT: ("Error", None, _MISSING, 0, "")},
+}
+
+
+def faulty_backend(fault: str) -> ScriptedBackend:
+    mapping = dict(hearsay_backend()._responses)
+    if fault == "entity not found":
+        mapping[("t1", "entity")] = entity_reply(statement=False)
+    elif fault != "ok":
+        step, kind = fault.split()
+        if kind == "garbage":
+            mapping[("t1", step)] = "garbage with no braces"
+        else:
+            del mapping[("t1", step)]
+    return ScriptedBackend(mapping)
+
+
+def test_fault_matrix_covers_every_step():
+    steps = {fault.split()[0] for fault in _FAULT_MATRIX if fault != "ok"}
+    assert steps == {"entity", *_FAULT_STEPS}
+    assert len(_FAULT_MATRIX) * len(Condition) == 96
+
+
+@pytest.mark.parametrize("condition", list(Condition), ids=lambda c: c.value)
+@pytest.mark.parametrize("fault", list(_FAULT_MATRIX))
+def test_fault_matrix(hearsay, fault, condition):
+    outcome, prediction, error, exchanges, present = _FAULT_MATRIX[fault].get(
+        condition, _CLEAN[condition]
+    )
+    trace = evaluate_instance(
+        hearsay, "t1", SAMPLE_TEXT, "Yes", condition, faulty_backend(fault), exemplars=[]
+    )
+    assert (trace.outcome, trace.prediction) == (outcome, prediction)
+    if error is None:
+        assert trace.error is None
+    else:
+        assert error in trace.error
+    assert len(trace.raw_exchanges) == exchanges
+    for letter, name in _FIELDS.items():
+        assert (getattr(trace, name) is not None) == (letter in present), name
+
+
 # -- ABox population and snapshots ------------------------------------------------
 
 
