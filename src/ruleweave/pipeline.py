@@ -1,14 +1,18 @@
 """Per-instance orchestration of the six experimental conditions.
 
-Two baselines answer from a single prompt (FS, CoT). The decomposed
-conditions run entity identification and assertion extraction, then either
-hand the populated ABox to the reasoner (SD, SD-Comp) or ask the model for
-the final call directly (SD-Direct, SD-Direct-Comp).
+One runner, ``evaluate_instance``, runs a condition's steps in order into a
+single InstanceTrace. The baselines are one prompt each (FS, CoT). The
+decomposed conditions run entity identification, then assertion extraction
+(plain or complementary), and then either hand the populated ABox to the
+reasoner (SD, SD-Comp) or ask the model for the final call directly
+(SD-Direct, SD-Direct-Comp). A required entity that is not found ends the
+run as NotExtractable with the negative label; a backend failure or an
+unparseable reply ends it as Error with no prediction.
 
-Every instance produces an InstanceTrace capturing the extractions, the
-reasoner's world when one was built, which rules fired, and the raw
-exchanges. Traces serialize to JSON lines; apart from one timestamp in the
-file header, identical inputs give byte-identical files.
+Every trace keeps the raw exchanges, each extraction that parsed, and for
+reasoner conditions the ABox snapshot and which rules fired. Traces serialize
+to JSON lines; apart from one timestamp in the file header, identical inputs
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Optional
 
-from .backends import Backend
+from .backends import Backend, ChatRequest
 from .errors import BackendError, ConfigError, MalformedResponseError, NotExtractable
 from .extraction import (
     STEP_COT,
@@ -274,233 +278,7 @@ def populate_abox(
     return abox
 
 
-# -- condition runners -----------------------------------------------------------
-
-
-def _labelled(task: TaskDefinition, positive: bool) -> str:
-    return task.positive_label if positive else task.negative_label
-
-
-def _extract(
-    task: TaskDefinition,
-    instance_id: str,
-    text: str,
-    backend: Backend,
-    complementary: bool,
-    model: str,
-    temperature: float,
-    exchanges: list[dict],
-) -> tuple[EntityExtraction, AssertionExtraction]:
-    request = build_entity_prompt(
-        task, text, instance_id=instance_id, model=model, temperature=temperature
-    )
-    entities = run_step(
-        backend, request, lambda data: parse_entity_response(data, task, instance_id), exchanges
-    )
-    request = build_assertion_prompt(
-        task,
-        text,
-        entities,
-        complementary,
-        instance_id=instance_id,
-        model=model,
-        temperature=temperature,
-    )
-    assertions = run_step(
-        backend,
-        request,
-        lambda data: parse_assertion_response(data, task, entities, complementary),
-        exchanges,
-    )
-    return entities, assertions
-
-
-def run_sd(
-    task: TaskDefinition,
-    instance_id: str,
-    text: str,
-    label: str,
-    backend: Backend,
-    complementary: bool,
-    model: str = "",
-    temperature: float = 0.0,
-) -> InstanceTrace:
-    condition = (Condition.SD_COMP if complementary else Condition.SD).value
-    exchanges: list[dict] = []
-    entities: Optional[EntityExtraction] = None
-    try:
-        entities, assertions = _extract(
-            task, instance_id, text, backend, complementary, model, temperature, exchanges
-        )
-    except NotExtractable as exc:
-        return InstanceTrace(
-            instance_id=instance_id,
-            condition=condition,
-            label=label,
-            prediction=task.negative_label,
-            outcome=OUTCOME_NOT_EXTRACTABLE,
-            raw_exchanges=exchanges,
-            entity_extraction=_entities_to_dict(entities) if entities else None,
-            error=str(exc),
-        )
-    except (BackendError, MalformedResponseError) as exc:
-        return InstanceTrace(
-            instance_id=instance_id,
-            condition=condition,
-            label=label,
-            prediction=None,
-            outcome=OUTCOME_ERROR,
-            raw_exchanges=exchanges,
-            entity_extraction=_entities_to_dict(entities) if entities else None,
-            error=str(exc),
-        )
-
-    abox = populate_abox(task, instance_id, entities, assertions)
-    result = forward_chain(task.tbox, abox)
-    target = mint_individual(instance_id, task.target_entity)
-    if not result.consistent:
-        prediction, outcome = task.negative_label, OUTCOME_INCONSISTENT
-        error = "; ".join(
-            f"{ind} is a member of disjoint classes {a} and {b}"
-            for ind, a, b in result.violations
-        )
-    else:
-        prediction = _labelled(task, classify(result, target, task.target_class))
-        outcome, error = OUTCOME_OK, None
-    return InstanceTrace(
-        instance_id=instance_id,
-        condition=condition,
-        label=label,
-        prediction=prediction,
-        outcome=outcome,
-        raw_exchanges=exchanges,
-        entity_extraction=_entities_to_dict(entities),
-        assertion_extraction=_assertions_to_dict(assertions),
-        abox_snapshot=snapshot_abox(result.abox),
-        fired=[
-            {"rule": name, "binding": {var: str(value) for var, value in binding.items()}}
-            for name, binding in result.fired
-        ],
-        error=error,
-    )
-
-
-def run_sd_direct(
-    task: TaskDefinition,
-    instance_id: str,
-    text: str,
-    label: str,
-    backend: Backend,
-    complementary: bool,
-    model: str = "",
-    temperature: float = 0.0,
-) -> InstanceTrace:
-    condition = (Condition.SD_DIRECT_COMP if complementary else Condition.SD_DIRECT).value
-    exchanges: list[dict] = []
-    entities: Optional[EntityExtraction] = None
-    assertions: Optional[AssertionExtraction] = None
-    try:
-        entities, assertions = _extract(
-            task, instance_id, text, backend, complementary, model, temperature, exchanges
-        )
-        request = build_direct_prompt(
-            task,
-            entities,
-            assertions,
-            complementary,
-            instance_id=instance_id,
-            model=model,
-            temperature=temperature,
-        )
-        answer = run_step(
-            backend, request, lambda data: parse_answer_response(data, task), exchanges
-        )
-    except NotExtractable as exc:
-        return InstanceTrace(
-            instance_id=instance_id,
-            condition=condition,
-            label=label,
-            prediction=task.negative_label,
-            outcome=OUTCOME_NOT_EXTRACTABLE,
-            raw_exchanges=exchanges,
-            entity_extraction=_entities_to_dict(entities) if entities else None,
-            error=str(exc),
-        )
-    except (BackendError, MalformedResponseError) as exc:
-        return InstanceTrace(
-            instance_id=instance_id,
-            condition=condition,
-            label=label,
-            prediction=None,
-            outcome=OUTCOME_ERROR,
-            raw_exchanges=exchanges,
-            entity_extraction=_entities_to_dict(entities) if entities else None,
-            assertion_extraction=_assertions_to_dict(assertions) if assertions else None,
-            error=str(exc),
-        )
-    return InstanceTrace(
-        instance_id=instance_id,
-        condition=condition,
-        label=label,
-        prediction=answer,
-        outcome=OUTCOME_OK,
-        raw_exchanges=exchanges,
-        entity_extraction=_entities_to_dict(entities),
-        assertion_extraction=_assertions_to_dict(assertions),
-    )
-
-
-def run_baseline(
-    task: TaskDefinition,
-    instance_id: str,
-    text: str,
-    label: str,
-    backend: Backend,
-    style: Condition,
-    exemplars: list[tuple[str, str]],
-    model: str = "",
-    temperature: float = 0.0,
-) -> InstanceTrace:
-    if not style.is_baseline:
-        raise ConfigError(f"{style.value} is not a baseline condition")
-    step = STEP_COT if style is Condition.COT else STEP_FS
-    exchanges: list[dict] = []
-    try:
-        request = build_baseline_prompt(
-            task,
-            text,
-            step,
-            exemplars,
-            instance_id=instance_id,
-            model=model,
-            temperature=temperature,
-        )
-        if style is Condition.COT:
-            _, answer = run_step(
-                backend, request, lambda data: parse_cot_response(data, task), exchanges
-            )
-        else:
-            answer = run_step(
-                backend, request, lambda data: parse_answer_response(data, task), exchanges
-            )
-    except (BackendError, MalformedResponseError) as exc:
-        return InstanceTrace(
-            instance_id=instance_id,
-            condition=style.value,
-            label=label,
-            prediction=None,
-            outcome=OUTCOME_ERROR,
-            raw_exchanges=exchanges,
-            error=str(exc),
-        )
-    return InstanceTrace(
-        instance_id=instance_id,
-        condition=style.value,
-        label=label,
-        prediction=answer,
-        outcome=OUTCOME_OK,
-        raw_exchanges=exchanges,
-    )
+# -- the condition runner ----------------------------------------------------------
 
 
 def evaluate_instance(
@@ -515,29 +293,60 @@ def evaluate_instance(
     temperature: float = 0.0,
 ) -> InstanceTrace:
     """Run one instance under one condition; never raises for model faults."""
-    if condition.is_baseline:
-        return run_baseline(
-            task,
-            instance_id,
-            text,
-            label,
-            backend,
-            condition,
-            exemplars or [],
-            model=model,
-            temperature=temperature,
+    trace = InstanceTrace(instance_id, condition.value, label, prediction=None, outcome=OUTCOME_OK)
+    prompt = {"instance_id": instance_id, "model": model, "temperature": temperature}
+    complementary = condition.complementary
+
+    def ask(request: ChatRequest, parse):
+        return run_step(backend, request, parse, trace.raw_exchanges)
+
+    try:
+        if condition is Condition.COT:
+            request = build_baseline_prompt(task, text, STEP_COT, exemplars or [], **prompt)
+            _, answer = ask(request, lambda data: parse_cot_response(data, task))
+        elif condition is Condition.FS:
+            request = build_baseline_prompt(task, text, STEP_FS, exemplars or [], **prompt)
+            answer = ask(request, lambda data: parse_answer_response(data, task))
+        else:
+            request = build_entity_prompt(task, text, **prompt)
+            entities = ask(request, lambda data: parse_entity_response(data, task, instance_id))
+            request = build_assertion_prompt(task, text, entities, complementary, **prompt)
+            assertions = ask(
+                request, lambda data: parse_assertion_response(data, task, entities, complementary)
+            )
+            trace.entity_extraction = _entities_to_dict(entities)
+            trace.assertion_extraction = _assertions_to_dict(assertions)
+            if not condition.uses_reasoner:
+                request = build_direct_prompt(task, entities, assertions, complementary, **prompt)
+                answer = ask(request, lambda data: parse_answer_response(data, task))
+    except NotExtractable as exc:
+        trace.prediction, trace.outcome = task.negative_label, OUTCOME_NOT_EXTRACTABLE
+        trace.error = str(exc)
+        return trace
+    except (BackendError, MalformedResponseError) as exc:
+        trace.outcome, trace.error = OUTCOME_ERROR, str(exc)
+        return trace
+    if not condition.uses_reasoner:
+        trace.prediction = answer
+        return trace
+
+    result = forward_chain(task.tbox, populate_abox(task, instance_id, entities, assertions))
+    trace.abox_snapshot = snapshot_abox(result.abox)
+    trace.fired = [
+        {"rule": name, "binding": {var: str(value) for var, value in binding.items()}}
+        for name, binding in result.fired
+    ]
+    if result.consistent:
+        target = mint_individual(instance_id, task.target_entity)
+        positive = classify(result, target, task.target_class)
+        trace.prediction = task.positive_label if positive else task.negative_label
+    else:
+        trace.prediction, trace.outcome = task.negative_label, OUTCOME_INCONSISTENT
+        trace.error = "; ".join(
+            f"{ind} is a member of disjoint classes {a} and {b}"
+            for ind, a, b in result.violations
         )
-    runner = run_sd if condition.uses_reasoner else run_sd_direct
-    return runner(
-        task,
-        instance_id,
-        text,
-        label,
-        backend,
-        condition.complementary,
-        model=model,
-        temperature=temperature,
-    )
+    return trace
 
 
 # -- trace files -----------------------------------------------------------------

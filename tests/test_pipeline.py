@@ -19,9 +19,6 @@ from ruleweave.pipeline import (
     rebuild_asserted_abox,
     render_snapshot,
     replay_reasoning,
-    run_baseline,
-    run_sd,
-    run_sd_direct,
     snapshot_abox,
 )
 from ruleweave.extraction import parse_assertion_response, parse_entity_response
@@ -96,7 +93,9 @@ def test_condition_flags():
 
 
 def test_run_sd_positive(hearsay):
-    trace = run_sd(hearsay, "t1", SAMPLE_TEXT, "Yes", hearsay_backend(), False)
+    trace = evaluate_instance(
+        hearsay, "t1", SAMPLE_TEXT, "Yes", Condition.SD, hearsay_backend(), exemplars=[]
+    )
     assert trace.prediction == "Yes"
     assert trace.outcome == "Ok"
     assert trace.error is None
@@ -107,14 +106,24 @@ def test_run_sd_positive(hearsay):
 
 
 def test_run_sd_blocked_antecedent(hearsay):
-    trace = run_sd(hearsay, "t1", SAMPLE_TEXT, "No", hearsay_backend(proves=False), False)
+    trace = evaluate_instance(
+        hearsay, "t1", SAMPLE_TEXT, "No", Condition.SD, hearsay_backend(proves=False), exemplars=[]
+    )
     assert trace.prediction == "No"
     assert trace.outcome == "Ok"
     assert trace.fired == []
 
 
 def test_run_sd_out_of_court_false(hearsay):
-    trace = run_sd(hearsay, "t1", SAMPLE_TEXT, "No", hearsay_backend(out_of_court=False), False)
+    trace = evaluate_instance(
+        hearsay,
+        "t1",
+        SAMPLE_TEXT,
+        "No",
+        Condition.SD,
+        hearsay_backend(out_of_court=False),
+        exemplars=[],
+    )
     assert (trace.prediction, trace.outcome) == ("No", "Ok")
 
 
@@ -146,7 +155,15 @@ def test_run_sd_complementary_contradiction_is_inconsistent(eligibility):
             ),
         }
     )
-    trace = run_sd(eligibility, "n1", "some premise and statement", "No", backend, True)
+    trace = evaluate_instance(
+        eligibility,
+        "n1",
+        "some premise and statement",
+        "No",
+        Condition.SD_COMP,
+        backend,
+        exemplars=[],
+    )
     assert trace.outcome == "Inconsistent"
     assert trace.prediction == "No"
     assert "disjoint" in trace.error
@@ -155,7 +172,9 @@ def test_run_sd_complementary_contradiction_is_inconsistent(eligibility):
 
 def test_run_sd_not_extractable(hearsay):
     backend = ScriptedBackend({("t1", "entity"): entity_reply(statement=False)})
-    trace = run_sd(hearsay, "t1", SAMPLE_TEXT, "No", backend, False)
+    trace = evaluate_instance(
+        hearsay, "t1", SAMPLE_TEXT, "No", Condition.SD, backend, exemplars=[]
+    )
     assert trace.outcome == "NotExtractable"
     assert trace.prediction == "No"
     assert "Statement" in trace.error
@@ -165,7 +184,9 @@ def test_run_sd_not_extractable(hearsay):
 
 def test_run_sd_error_outcome(hearsay):
     backend = ScriptedBackend({("t1", "entity"): "garbage with no braces"})
-    trace = run_sd(hearsay, "t1", SAMPLE_TEXT, "Yes", backend, False)
+    trace = evaluate_instance(
+        hearsay, "t1", SAMPLE_TEXT, "Yes", Condition.SD, backend, exemplars=[]
+    )
     assert trace.outcome == "Error"
     assert trace.prediction is None
     assert len(trace.raw_exchanges) == 2
@@ -184,7 +205,9 @@ def test_run_sd_repair_recovers(hearsay):
             }
         ),
     }
-    trace = run_sd(hearsay, "t1", SAMPLE_TEXT, "Yes", ScriptedBackend(mapping), False)
+    trace = evaluate_instance(
+        hearsay, "t1", SAMPLE_TEXT, "Yes", Condition.SD, ScriptedBackend(mapping), exemplars=[]
+    )
     assert trace.outcome == "Ok"
     assert trace.prediction == "Yes"
     assert len(trace.raw_exchanges) == 3
@@ -195,8 +218,10 @@ def test_run_sd_repair_recovers(hearsay):
 
 def test_sd_direct_diverges_from_reasoner_only_at_the_final_call(hearsay):
     backend = hearsay_backend(direct_answer="No")
-    sd = run_sd(hearsay, "t1", SAMPLE_TEXT, "Yes", backend, False)
-    direct = run_sd_direct(hearsay, "t1", SAMPLE_TEXT, "Yes", backend, False)
+    sd = evaluate_instance(hearsay, "t1", SAMPLE_TEXT, "Yes", Condition.SD, backend, exemplars=[])
+    direct = evaluate_instance(
+        hearsay, "t1", SAMPLE_TEXT, "Yes", Condition.SD_DIRECT, backend, exemplars=[]
+    )
     assert sd.prediction == "Yes"
     assert direct.prediction == "No"
     assert direct.entity_extraction == sd.entity_extraction
@@ -218,15 +243,22 @@ def test_sd_and_sd_direct_share_extraction_prompts(hearsay):
     for complementary in (False, True):
         spy_sd = Spy(hearsay_backend())
         spy_direct = Spy(hearsay_backend())
-        run_sd(hearsay, "t1", SAMPLE_TEXT, "Yes", spy_sd, complementary)
-        run_sd_direct(hearsay, "t1", SAMPLE_TEXT, "Yes", spy_direct, complementary)
+        sd, direct = (
+            (Condition.SD_COMP, Condition.SD_DIRECT_COMP)
+            if complementary
+            else (Condition.SD, Condition.SD_DIRECT)
+        )
+        evaluate_instance(hearsay, "t1", SAMPLE_TEXT, "Yes", sd, spy_sd, exemplars=[])
+        evaluate_instance(hearsay, "t1", SAMPLE_TEXT, "Yes", direct, spy_direct, exemplars=[])
         assert spy_sd.requests == spy_direct.requests[:2]
         assert len(spy_direct.requests) == 3
 
 
 def test_sd_direct_not_extractable(hearsay):
     backend = ScriptedBackend({("t1", "entity"): entity_reply(statement=False)})
-    trace = run_sd_direct(hearsay, "t1", SAMPLE_TEXT, "No", backend, False)
+    trace = evaluate_instance(
+        hearsay, "t1", SAMPLE_TEXT, "No", Condition.SD_DIRECT, backend, exemplars=[]
+    )
     assert trace.outcome == "NotExtractable"
     assert trace.prediction == "No"
 
@@ -235,7 +267,15 @@ def test_sd_direct_malformed_final_call_is_an_error(hearsay):
     backend = hearsay_backend()
     mapping = dict(backend._responses)
     mapping[("t1", "direct")] = "I think yes?"
-    trace = run_sd_direct(hearsay, "t1", SAMPLE_TEXT, "Yes", ScriptedBackend(mapping), False)
+    trace = evaluate_instance(
+        hearsay,
+        "t1",
+        SAMPLE_TEXT,
+        "Yes",
+        Condition.SD_DIRECT,
+        ScriptedBackend(mapping),
+        exemplars=[],
+    )
     assert trace.outcome == "Error"
     assert trace.prediction is None
     assert trace.assertion_extraction is not None
@@ -246,8 +286,8 @@ def test_sd_direct_malformed_final_call_is_an_error(hearsay):
 
 def test_run_baseline_fs(hearsay):
     exemplars = [(f"scenario {i}", "Yes") for i in range(5)]
-    trace = run_baseline(
-        hearsay, "t1", SAMPLE_TEXT, "Yes", hearsay_backend(), Condition.FS, exemplars
+    trace = evaluate_instance(
+        hearsay, "t1", SAMPLE_TEXT, "Yes", Condition.FS, hearsay_backend(), exemplars=exemplars
     )
     assert trace.prediction == "Yes"
     assert trace.condition == "FS"
@@ -261,16 +301,11 @@ def test_run_baseline_cot_repair(hearsay):
         ("t1", "cot"): json.dumps({"answer": "No"}),
         ("t1", "cot_repair"): json.dumps({"reasoning": "because", "answer": "No"}),
     }
-    trace = run_baseline(
-        hearsay, "t1", SAMPLE_TEXT, "No", ScriptedBackend(mapping), Condition.COT, []
+    trace = evaluate_instance(
+        hearsay, "t1", SAMPLE_TEXT, "No", Condition.COT, ScriptedBackend(mapping), exemplars=[]
     )
     assert trace.prediction == "No"
     assert len(trace.raw_exchanges) == 2
-
-
-def test_run_baseline_rejects_non_baseline(hearsay):
-    with pytest.raises(ConfigError):
-        run_baseline(hearsay, "t1", SAMPLE_TEXT, "Yes", hearsay_backend(), Condition.SD, [])
 
 
 def test_evaluate_instance_dispatch(hearsay):
@@ -457,15 +492,34 @@ def test_render_snapshot_is_tab_separated(hearsay):
 
 def test_replay_reasoning_reproduces_predictions(hearsay, eligibility):
     cases = [
-        (hearsay, run_sd(hearsay, "t1", SAMPLE_TEXT, "Yes", hearsay_backend(), False)),
         (
             hearsay,
-            run_sd(hearsay, "t2", SAMPLE_TEXT, "No", hearsay_backend("t2", proves=False), False),
+            evaluate_instance(
+                hearsay, "t1", SAMPLE_TEXT, "Yes", Condition.SD, hearsay_backend(), exemplars=[]
+            ),
         ),
         (
             hearsay,
-            run_sd(
-                hearsay, "t3", SAMPLE_TEXT, "No", hearsay_backend("t3", out_of_court=False), True
+            evaluate_instance(
+                hearsay,
+                "t2",
+                SAMPLE_TEXT,
+                "No",
+                Condition.SD,
+                hearsay_backend("t2", proves=False),
+                exemplars=[],
+            ),
+        ),
+        (
+            hearsay,
+            evaluate_instance(
+                hearsay,
+                "t3",
+                SAMPLE_TEXT,
+                "No",
+                Condition.SD_COMP,
+                hearsay_backend("t3", out_of_court=False),
+                exemplars=[],
             ),
         ),
     ]
@@ -482,7 +536,9 @@ def test_world_isolation_byte_identical_traces(hearsay):
     def one_run():
         backend = hearsay_backend()
         traces = [
-            run_sd(hearsay, "t1", SAMPLE_TEXT, "Yes", backend, False)
+            evaluate_instance(
+                hearsay, "t1", SAMPLE_TEXT, "Yes", Condition.SD, backend, exemplars=[]
+            )
             for _ in range(2)
         ]
         return traces
@@ -495,7 +551,9 @@ def test_world_isolation_byte_identical_traces(hearsay):
 
 
 def test_dump_traces_isolates_timestamp_to_header(hearsay):
-    trace = run_sd(hearsay, "t1", SAMPLE_TEXT, "Yes", hearsay_backend(), False)
+    trace = evaluate_instance(
+        hearsay, "t1", SAMPLE_TEXT, "Yes", Condition.SD, hearsay_backend(), exemplars=[]
+    )
     early = dump_traces([trace], "hearsay", Condition.SD, "scripted", timestamp="2026-01-01")
     late = dump_traces([trace], "hearsay", Condition.SD, "scripted", timestamp="2026-06-30")
     assert early != late
@@ -504,7 +562,9 @@ def test_dump_traces_isolates_timestamp_to_header(hearsay):
 
 def test_dump_traces_sorted_and_loadable(hearsay, tmp_path):
     traces = [
-        run_sd(hearsay, iid, SAMPLE_TEXT, "Yes", hearsay_backend(iid), False)
+        evaluate_instance(
+            hearsay, iid, SAMPLE_TEXT, "Yes", Condition.SD, hearsay_backend(iid), exemplars=[]
+        )
         for iid in ("t9", "t2", "t5")
     ]
     path = tmp_path / "traces.jsonl"
