@@ -310,11 +310,11 @@ def evaluate_instance(
         else:
             request = build_entity_prompt(task, text, **prompt)
             entities = ask(request, lambda data: parse_entity_response(data, task, instance_id))
+            trace.entity_extraction = _entities_to_dict(entities)
             request = build_assertion_prompt(task, text, entities, complementary, **prompt)
             assertions = ask(
                 request, lambda data: parse_assertion_response(data, task, entities, complementary)
             )
-            trace.entity_extraction = _entities_to_dict(entities)
             trace.assertion_extraction = _assertions_to_dict(assertions)
             if not condition.uses_reasoner:
                 request = build_direct_prompt(task, entities, assertions, complementary, **prompt)

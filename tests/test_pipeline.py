@@ -213,6 +213,13 @@ def test_run_sd_repair_recovers(hearsay):
     assert len(trace.raw_exchanges) == 3
 
 
+def test_not_extractable_trace_shows_which_entity_was_missing(hearsay):
+    backend = ScriptedBackend({("t1", "entity"): entity_reply(statement=False)})
+    trace = evaluate_instance(hearsay, "t1", SAMPLE_TEXT, "No", Condition.SD, backend, exemplars=[])
+    found = {r["name"]: r["found"] for r in trace.entity_extraction["records"]}
+    assert found == {"Statement": False, "Assertion": True, "LegalIssue": True}
+
+
 # -- SD-Direct ------------------------------------------------------------------
 
 
@@ -363,26 +370,26 @@ _FAULT_MATRIX = {
     "ok": {},
     "entity garbage": {c: ("Error", None, _GARBAGE, 2, "") for c in _DECOMPOSED},
     "entity missing": {c: ("Error", None, _MISSING, 0, "") for c in _DECOMPOSED},
-    "entity not found": {c: ("NotExtractable", "No", "Statement", 1, "") for c in _DECOMPOSED},
+    "entity not found": {c: ("NotExtractable", "No", "Statement", 1, "E") for c in _DECOMPOSED},
     "assertion garbage": {
-        Condition.SD: ("Error", None, _GARBAGE, 3, ""),
-        Condition.SD_DIRECT: ("Error", None, _GARBAGE, 3, ""),
+        Condition.SD: ("Error", None, _GARBAGE, 3, "E"),
+        Condition.SD_DIRECT: ("Error", None, _GARBAGE, 3, "E"),
     },
     "assertion_comp garbage": {
-        Condition.SD_COMP: ("Error", None, _GARBAGE, 3, ""),
-        Condition.SD_DIRECT_COMP: ("Error", None, _GARBAGE, 3, ""),
+        Condition.SD_COMP: ("Error", None, _GARBAGE, 3, "E"),
+        Condition.SD_DIRECT_COMP: ("Error", None, _GARBAGE, 3, "E"),
     },
     "direct garbage": {Condition.SD_DIRECT: ("Error", None, _GARBAGE, 4, "EA")},
     "direct_comp garbage": {Condition.SD_DIRECT_COMP: ("Error", None, _GARBAGE, 4, "EA")},
     "fs garbage": {Condition.FS: ("Error", None, _GARBAGE, 2, "")},
     "cot garbage": {Condition.COT: ("Error", None, _GARBAGE, 2, "")},
     "assertion missing": {
-        Condition.SD: ("Error", None, _MISSING, 1, ""),
-        Condition.SD_DIRECT: ("Error", None, _MISSING, 1, ""),
+        Condition.SD: ("Error", None, _MISSING, 1, "E"),
+        Condition.SD_DIRECT: ("Error", None, _MISSING, 1, "E"),
     },
     "assertion_comp missing": {
-        Condition.SD_COMP: ("Error", None, _MISSING, 1, ""),
-        Condition.SD_DIRECT_COMP: ("Error", None, _MISSING, 1, ""),
+        Condition.SD_COMP: ("Error", None, _MISSING, 1, "E"),
+        Condition.SD_DIRECT_COMP: ("Error", None, _MISSING, 1, "E"),
     },
     "direct missing": {Condition.SD_DIRECT: ("Error", None, _MISSING, 2, "EA")},
     "direct_comp missing": {Condition.SD_DIRECT_COMP: ("Error", None, _MISSING, 2, "EA")},
