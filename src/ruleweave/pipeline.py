@@ -374,7 +374,25 @@ def dump_traces(
     return "\n".join(lines) + "\n"
 
 
+_HEADER_FIELDS = {"task": (str,), "condition": (str,), "model": (str,)}
+_INSTANCE_FIELDS = {
+    "instance_id": (str,),
+    "label": (str,),
+    "prediction": (str, type(None)),
+    "outcome": (str,),
+}
+
+
+def _check_fields(record: dict, fields: dict, where: str) -> None:
+    for name, types in fields.items():
+        if name not in record:
+            raise ValueError(f"{where}: {record['type']} record has no {name!r}")
+        if not isinstance(record[name], types):
+            raise ValueError(f"{where}: {record['type']} field {name!r} has the wrong type")
+
+
 def load_traces(path) -> tuple[dict, list[dict]]:
+    """Read a trace file; any malformed line raises ValueError naming path:line."""
     header = None
     records = []
     with open(path, encoding="utf-8") as handle:
@@ -382,13 +400,21 @@ def load_traces(path) -> tuple[dict, list[dict]]:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            where = f"{path}:{line_no}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: invalid JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: a trace line must be a JSON object")
             if record.get("type") == "header":
+                _check_fields(record, _HEADER_FIELDS, where)
                 header = record
             elif record.get("type") == "instance":
+                _check_fields(record, _INSTANCE_FIELDS, where)
                 records.append(record)
             else:
-                raise ValueError(f"{path}:{line_no}: unknown trace record type")
+                raise ValueError(f"{where}: unknown trace record type")
     if header is None:
         raise ValueError(f"{path}: missing header line")
     return header, records

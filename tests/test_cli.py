@@ -302,3 +302,56 @@ def test_query_unknown_instance_exits_4(capsys, tmp_path):
     )
     assert code == 4
     assert err.startswith("dataset error:")
+
+
+# -- malformed trace files ----------------------------------------------------------------
+
+_HEADER = {"type": "header", "task": "hearsay", "condition": "SD", "model": "m", "created": "t"}
+_INSTANCE = {
+    "type": "instance",
+    "instance_id": "t01",
+    "label": "Yes",
+    "prediction": "Yes",
+    "outcome": "Ok",
+    "abox_snapshot": [],
+}
+
+
+@pytest.mark.parametrize(
+    "command, lines, message",
+    [
+        ("report", [_HEADER, [1, 2]], "traces.jsonl:2: a trace line must be a JSON object"),
+        (
+            "report",
+            [{k: v for k, v in _HEADER.items() if k != "model"}, _INSTANCE],
+            "traces.jsonl:1: header record has no 'model'",
+        ),
+        ("report", [{**_HEADER, "task": 7}, _INSTANCE], "traces.jsonl:1: header field 'task'"),
+        (
+            "query",
+            [_HEADER, {k: v for k, v in _INSTANCE.items() if k != "instance_id"}],
+            "traces.jsonl:2: instance record has no 'instance_id'",
+        ),
+        ("query", [_HEADER, '{"type": "instance",'], "traces.jsonl:2: invalid JSON"),
+    ],
+    ids=[
+        "not-an-object",
+        "header-without-model",
+        "header-task-not-a-string",
+        "instance-without-id",
+        "truncated-json",
+    ],
+)
+def test_malformed_trace_file_exits_4(capsys, tmp_path, command, lines, message):
+    path = tmp_path / "traces.jsonl"
+    path.write_text(
+        "".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in lines),
+        encoding="utf-8",
+    )
+    argv = ["report", str(path)]
+    if command == "query":
+        argv = ["query", "--trace", str(path), "--query", HEARSAY_CLASS_QUERY]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 4
+    assert err.startswith("data error:")
+    assert message in err
