@@ -129,6 +129,28 @@ def _system_preamble(task: TaskDefinition) -> str:
     )
 
 
+def _request(
+    task: TaskDefinition,
+    lines: list[str],
+    schema: dict,
+    step: str,
+    instance_id: str,
+    model: str,
+    temperature: float,
+) -> ChatRequest:
+    """The envelope every prompt shares: the prompt lines, then the schema dump."""
+    lines.append(json.dumps(schema, indent=2, ensure_ascii=False))
+    return ChatRequest(
+        system=_system_preamble(task),
+        user="\n".join(lines),
+        response_schema=schema,
+        model=model,
+        instance_id=instance_id,
+        step=step,
+        temperature=temperature,
+    )
+
+
 def build_entity_prompt(
     task: TaskDefinition,
     input_text: str,
@@ -163,16 +185,7 @@ def build_entity_prompt(
         "When found is true, fill span (verbatim excerpt), individual (a short "
         "identifier of your choosing) and explanation. Use JSON matching this schema:"
     )
-    lines.append(json.dumps(schema, indent=2, ensure_ascii=False))
-    return ChatRequest(
-        system=_system_preamble(task),
-        user="\n".join(lines),
-        response_schema=schema,
-        model=model,
-        instance_id=instance_id,
-        step=STEP_ENTITY,
-        temperature=temperature,
-    )
+    return _request(task, lines, schema, STEP_ENTITY, instance_id, model, temperature)
 
 
 def askable_specs(
@@ -243,16 +256,8 @@ def build_assertion_prompt(
         "Reply with one record per determination, in the order listed, each with "
         "a boolean holds and a short justification. Use JSON matching this schema:"
     )
-    lines.append(json.dumps(schema, indent=2, ensure_ascii=False))
-    return ChatRequest(
-        system=_system_preamble(task),
-        user="\n".join(lines),
-        response_schema=schema,
-        model=model,
-        instance_id=instance_id,
-        step=STEP_ASSERTION_COMP if complementary else STEP_ASSERTION,
-        temperature=temperature,
-    )
+    step = STEP_ASSERTION_COMP if complementary else STEP_ASSERTION
+    return _request(task, lines, schema, step, instance_id, model, temperature)
 
 
 def build_direct_prompt(
@@ -287,16 +292,8 @@ def build_direct_prompt(
         f"answer {labels[0]} or {labels[1]}. "
         'Use JSON matching this schema:'
     )
-    lines.append(json.dumps(schema, indent=2, ensure_ascii=False))
-    return ChatRequest(
-        system=_system_preamble(task),
-        user="\n".join(lines),
-        response_schema=schema,
-        model=model,
-        instance_id=instance_id,
-        step=STEP_DIRECT_COMP if complementary else STEP_DIRECT,
-        temperature=temperature,
-    )
+    step = STEP_DIRECT_COMP if complementary else STEP_DIRECT
+    return _request(task, lines, schema, step, instance_id, model, temperature)
 
 
 def build_baseline_prompt(
@@ -343,16 +340,7 @@ def build_baseline_prompt(
     lines.append(input_text)
     lines.append("")
     lines.append(instruction)
-    lines.append(json.dumps(schema, indent=2, ensure_ascii=False))
-    return ChatRequest(
-        system=_system_preamble(task),
-        user="\n".join(lines),
-        response_schema=schema,
-        model=model,
-        instance_id=instance_id,
-        step=style,
-        temperature=temperature,
-    )
+    return _request(task, lines, schema, style, instance_id, model, temperature)
 
 
 # -- response parsing ---------------------------------------------------------
