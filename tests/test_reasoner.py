@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -244,6 +246,69 @@ def test_fact_insertion_order_does_not_change_the_result():
         ]
         assert first.violations == second.violations
         assert snapshot_abox(first.abox) == snapshot_abox(second.abox)
+
+
+def chain_instance(edges: int) -> tuple[TBox, ABox]:
+    """A transitive chain n0 -> ... -> n<edges>: `edge` links, `reach` its
+    closure, and a rule that makes the start node an End too, so the
+    disjoint Start/End pair yields a violation."""
+    tbox = TBox({"c": "http://example.org/chain#", "i": "http://example.org/i#"})
+    node, start, end = Iri("c", "Node"), Iri("c", "Start"), Iri("c", "End")
+    for cls in (node, start, end):
+        tbox.declare_class(cls)
+    tbox.add_subclass(start, node)
+    tbox.add_subclass(end, node)
+    tbox.add_disjoint(start, end)
+    edge, reach = Iri("c", "edge"), Iri("c", "reach")
+    tbox.declare_property(edge, node, node)
+    tbox.declare_property(reach)
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    tbox.add_rule(SwrlRule("edge_reach", (PropertyAtom(edge, x, y),), PropertyAtom(reach, x, y)))
+    tbox.add_rule(
+        SwrlRule(
+            "reach_step",
+            (PropertyAtom(reach, x, y), PropertyAtom(edge, y, z)),
+            PropertyAtom(reach, x, z),
+        )
+    )
+    tbox.add_rule(
+        SwrlRule(
+            "reaches_end",
+            (ClassAtom(start, x), PropertyAtom(reach, x, y), ClassAtom(end, y)),
+            ClassAtom(end, x),
+        )
+    )
+    abox = ABox(tbox)
+    nodes = [Iri("i", f"n{k}") for k in range(edges + 1)]
+    abox.assert_class(nodes[0], start, "chain start")
+    abox.assert_class(nodes[-1], end, "chain end")
+    for k in range(1, edges):
+        abox.assert_class(nodes[k], node, "chain node")
+    for a, b in zip(nodes, nodes[1:]):
+        abox.assert_property(a, edge, b, "chain link")
+    return tbox, abox
+
+
+# SHA-256 over `fired` (binding key order included), `violations` and
+# `snapshot_abox` of 500 random instances plus a 30-edge chain. It pins the
+# chainer's observable output byte for byte across any change to how
+# matches are enumerated or indexed.
+FIRED_DIGEST = "a4a5aa53a53cbefe31361c5d0cf21ae45162da5d1510af41f37c748b31d53d0d"
+
+
+def test_fired_order_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    rng = random.Random(4242)
+    cases = [random_instance(rng) for _ in range(500)] + [chain_instance(30)]
+    for tbox, abox in cases:
+        result = forward_chain(tbox, abox)
+        record = {
+            "fired": [[name, [[k, str(v)] for k, v in b.items()]] for name, b in result.fired],
+            "violations": [[str(term) for term in v] for v in result.violations],
+            "snapshot": snapshot_abox(result.abox),
+        }
+        digest.update(json.dumps(record).encode("utf-8"))
+    assert digest.hexdigest() == FIRED_DIGEST
 
 
 def test_every_inferred_fact_names_a_fired_rule():
