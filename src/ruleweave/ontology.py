@@ -62,6 +62,19 @@ class Iri:
         if not self.local or not _NAME_RE.match(self.local):
             raise IriError(f"bad local name in {self.prefix!r}:{self.local!r}")
 
+    def __hash__(self) -> int:
+        # The dataclass's own value, computed on first use and kept in the
+        # instance dict: every fact index hashes the same Iris many times.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash((self.prefix, self.local))
+        return cached
+
+    def __reduce__(self):
+        # Rebuild from the fields alone: a cached hash is only valid under
+        # the hash seed of the process that computed it.
+        return (Iri, (self.prefix, self.local))
+
     def __str__(self) -> str:
         return f"{self.prefix}:{self.local}"
 
@@ -314,6 +327,25 @@ class TBox:
         )
 
 
+# property -> bound term -> the terms on the other side of the pair
+PairMap = dict[Iri, dict[Iri, set[Iri]]]
+
+
+def index_pair(
+    by_subject: PairMap, by_object: PairMap, subject: Iri, prop: Iri, obj: Iri
+) -> None:
+    """Record the pair (subject, obj) of prop in both directions."""
+    by_subject.setdefault(prop, {}).setdefault(subject, set()).add(obj)
+    by_object.setdefault(prop, {}).setdefault(obj, set()).add(subject)
+
+
+def _copy_pair_map(pairs: PairMap) -> PairMap:
+    return {
+        prop: {term: set(others) for term, others in index.items()}
+        for prop, index in pairs.items()
+    }
+
+
 class ABox:
     """Assertions about individuals, validated against a companion TBox.
 
@@ -323,11 +355,12 @@ class ABox:
 
     Besides the origin-tagged fact dicts, the ABox keeps an index that the
     reasoner and the query engine read instead of scanning every fact:
-    `direct_classes` maps an individual to the classes recorded for it, and
-    `pairs` maps a property to its (subject, object) pairs. The index holds
-    no subclass closure; that is read from the TBox at lookup time, so a
-    subclass axiom added after a fact is still seen. Callers must not
-    mutate either map.
+    `direct_classes` maps an individual to the classes recorded for it;
+    `by_subject` maps a property to subject -> objects, and `by_object`
+    maps a property to object -> subjects, so a property atom with a bound
+    subject or object is one hash lookup. The index holds no subclass
+    closure; that is read from the TBox at lookup time, so a subclass axiom
+    added after a fact is still seen. Callers must not mutate these maps.
     """
 
     def __init__(self, tbox: TBox):
@@ -336,7 +369,8 @@ class ABox:
         self.class_assertions: dict[tuple[Iri, Iri], Origin] = {}
         self.property_assertions: dict[tuple[Iri, Iri, Iri], Origin] = {}
         self.direct_classes: dict[Iri, set[Iri]] = {}
-        self.pairs: dict[Iri, set[tuple[Iri, Iri]]] = {}
+        self.by_subject: PairMap = {}
+        self.by_object: PairMap = {}
 
     # -- public, validated entry points -------------------------------------
 
@@ -375,8 +409,11 @@ class ABox:
         return True
 
     def _insert_property(
-        self, subject: Iri, prop: Iri, obj: Iri, origin: Origin
+        self, subject: Iri, prop: Iri, obj: Iri, origin: Origin, indexed: bool = True
     ) -> bool:
+        """Record the fact; False if it was already present. With indexed
+        false the pair maps are left for the caller to update through
+        `index_pair`, which the reasoner does when a round ends."""
         if prop not in self.tbox.properties:
             raise UndeclaredError(f"property {prop} not declared in TBox")
         key = (subject, prop, obj)
@@ -385,7 +422,8 @@ class ABox:
         if key in self.property_assertions:
             return False
         self.property_assertions[key] = origin
-        self.pairs.setdefault(prop, set()).add((subject, obj))
+        if indexed:
+            index_pair(self.by_subject, self.by_object, subject, prop, obj)
         return True
 
     # -- lookups -------------------------------------------------------------
@@ -415,7 +453,8 @@ class ABox:
         dup.class_assertions = dict(self.class_assertions)
         dup.property_assertions = dict(self.property_assertions)
         dup.direct_classes = {ind: set(classes) for ind, classes in self.direct_classes.items()}
-        dup.pairs = {prop: set(pairs) for prop, pairs in self.pairs.items()}
+        dup.by_subject = _copy_pair_map(self.by_subject)
+        dup.by_object = _copy_pair_map(self.by_object)
         return dup
 
     def sorted_class_assertions(self):

@@ -7,7 +7,12 @@ line. Nothing else: no OPTIONAL, FILTER, literals, or blank nodes.
 
 Class-membership patterns respect the subclass closure, and matching runs
 over asserted plus inferred facts, so a query sees exactly what the
-reasoner concluded. Names in the query resolve through the query's own
+reasoner concluded. Each pattern becomes a class or property atom and is
+matched by the reasoner's own join kernel, `reasoner._extend`: a pattern
+whose subject or object is a constant or an already-bound variable is a
+hash lookup in the ABox's by-subject or by-object map, not a scan. A
+variable predicate or class is bound to each property or class in turn
+first. Names in the query resolve through the query's own
 PREFIX table to full URLs, then back through the task's prefix table; a
 symbol that does not resolve, or resolves to an undeclared class/property,
 makes the query return no rows and logs a warning instead of raising.
@@ -21,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import QuerySyntaxError
-from .ontology import ABox, Iri, TBox, Variable
-from .reasoner import _unify
+from .ontology import ABox, ClassAtom, Iri, PropertyAtom, TBox, Variable
+from .reasoner import _extend, _unify
 
 log = logging.getLogger(__name__)
 
@@ -285,36 +290,32 @@ def execute(query: Query, tbox: TBox, abox: ABox) -> list[BindingRow]:
         resolved_patterns.append(tuple(terms))
 
     members = abox.members()
-
-    def facts(predicate, obj) -> list[tuple]:
-        """(subject, predicate, object) facts that can match the pattern."""
-        if predicate == CLASS_KEYWORD:
-            classes = [obj] if isinstance(obj, Iri) else list(members)
-            return [(ind, predicate, cls) for cls in classes for ind in members.get(cls, ())]
-        properties = [predicate] if isinstance(predicate, Iri) else list(abox.pairs)
-        return [(s, p, o) for p in properties for s, o in abox.pairs.get(p, ())]
-
+    view = (members, abox.by_subject, abox.by_object)
     bindings: list[dict[str, Iri]] = [{}]
     for subject, predicate, obj in resolved_patterns:
-        candidates = facts(predicate, obj)
+        # (term, value, atom): bind term to value, then match atom. A
+        # constant predicate or class has one choice; a variable ranges over
+        # every property with pairs, or every class with members.
+        if predicate == CLASS_KEYWORD:
+            classes = [obj] if isinstance(obj, Iri) else list(members)
+            choices = [(obj, cls, ClassAtom(cls, subject)) for cls in classes]
+        else:
+            properties = [predicate] if isinstance(predicate, Iri) else list(abox.by_subject)
+            choices = [(predicate, prop, PropertyAtom(prop, subject, obj)) for prop in properties]
         extended: list[dict[str, Iri]] = []
         for binding in bindings:
-            for s, p, o in candidates:
-                after_predicate = _unify(predicate, p, binding)
-                if after_predicate is None:
-                    continue
-                after_subject = _unify(subject, s, after_predicate)
-                if after_subject is None:
-                    continue
-                complete = _unify(obj, o, after_subject)
-                if complete is not None:
-                    extended.append(complete)
+            for term, value, atom in choices:
+                bound = _unify(term, value, binding)
+                if bound is not None:
+                    extended.extend(_extend(atom, bound, view))
         bindings = extended
         if not bindings:
             return []
 
     rows = {tuple(binding[name] for name in query.select_vars) for binding in bindings}
-    return sorted(rows)
+    # Iri order is (prefix, local) order; comparing those strings directly
+    # sorts the same way without a Python-level comparison per step.
+    return sorted(rows, key=lambda row: [(value.prefix, value.local) for value in row])
 
 
 def format_tsv(query: Query, rows: list[BindingRow]) -> str:

@@ -13,6 +13,14 @@ as new in the first round). The test suite keeps an independent naive
 iterate-to-fixpoint oracle and checks set-equality of the inferred facts on
 randomized inputs, so the delta bookkeeping here is not trusted by fiat.
 
+Joins are hash lookups on bound terms. `_extend`, the one join kernel,
+matches a property atom whose subject is already bound (a constant, or a
+variable bound by an earlier atom) with one lookup in the ABox's
+by-subject map, one with only its object bound in the by-object map, and
+scans the property only when both ends are free. Each round's delta is
+indexed the same way. The query engine runs its patterns through the same
+`_extend`.
+
 Ordering guarantees, purely so `fired` logs are reproducible: rules are
 evaluated in declaration order, and a (rule, binding) pair is logged only
 when it adds a fact that was not already present. Within one rule and one
@@ -38,10 +46,11 @@ from .ontology import (
     ClassAtom,
     Inferred,
     Iri,
-    PropertyAtom,
+    PairMap,
     SwrlRule,
     TBox,
     Variable,
+    index_pair,
 )
 
 log = logging.getLogger(__name__)
@@ -77,13 +86,20 @@ def _unify(term, value: Iri, binding: Binding) -> Optional[Binding]:
     return binding if term == value else None
 
 
-def _extend(
-    atom: Atom,
-    binding: Binding,
-    members: dict[Iri, set[Iri]],
-    pairs: dict[Iri, set[tuple[Iri, Iri]]],
-) -> Iterator[Binding]:
-    """All extensions of binding that satisfy atom against the given view."""
+# One side of the index: class -> members, and the two pair maps.
+View = tuple[dict[Iri, set[Iri]], PairMap, PairMap]
+
+_NO_PAIRS: dict[Iri, set[Iri]] = {}
+
+
+def _extend(atom: Atom, binding: Binding, view: View) -> Iterator[Binding]:
+    """All extensions of binding that satisfy atom against the given view.
+
+    A property atom whose subject is bound (a constant or a bound variable)
+    reads the by-subject map; else one whose object is bound reads the
+    by-object map; only an atom with both ends free scans the property.
+    """
+    members, by_subject, by_object = view
     if isinstance(atom, ClassAtom):
         population = members.get(atom.cls, frozenset())
         term = atom.term
@@ -96,23 +112,41 @@ def _extend(
             value = binding[term.name] if isinstance(term, Variable) else term
             if value in population:
                 yield binding
+        return
+    subject, obj = atom.subject, atom.object
+    bound_subject = binding.get(subject.name) if isinstance(subject, Variable) else subject
+    bound_object = binding.get(obj.name) if isinstance(obj, Variable) else obj
+    if bound_subject is not None:
+        objects = by_subject.get(atom.prop, _NO_PAIRS).get(bound_subject, ())
+        if bound_object is not None:
+            if bound_object in objects:
+                yield binding
+            return
+        for value in objects:
+            extended = dict(binding)
+            extended[obj.name] = value
+            yield extended
+    elif bound_object is not None:
+        for value in by_object.get(atom.prop, _NO_PAIRS).get(bound_object, ()):
+            extended = dict(binding)
+            extended[subject.name] = value
+            yield extended
+    elif subject.name == obj.name:
+        for value, objects in by_subject.get(atom.prop, _NO_PAIRS).items():
+            if value in objects:
+                extended = dict(binding)
+                extended[subject.name] = value
+                yield extended
     else:
-        for subject, obj in pairs.get(atom.prop, frozenset()):
-            extended = _unify(atom.subject, subject, binding)
-            if extended is None:
-                continue
-            extended = _unify(atom.object, obj, extended)
-            if extended is not None:
+        for value, objects in by_subject.get(atom.prop, _NO_PAIRS).items():
+            for other in objects:
+                extended = dict(binding)
+                extended[subject.name] = value
+                extended[obj.name] = other
                 yield extended
 
 
-def _rule_bindings(
-    rule: SwrlRule,
-    full_members: dict[Iri, set[Iri]],
-    full_pairs: dict[Iri, set[tuple[Iri, Iri]]],
-    delta_members: dict[Iri, set[Iri]],
-    delta_pairs: dict[Iri, set[tuple[Iri, Iri]]],
-) -> list[Binding]:
+def _rule_bindings(rule: SwrlRule, full: View, delta: View) -> list[Binding]:
     """Complete antecedent matches that touch the delta, sorted for replay."""
     found: dict[tuple, Binding] = {}
     n = len(rule.antecedent)
@@ -125,16 +159,18 @@ def _rule_bindings(
                 found.setdefault(key, binding)
                 return
             index = order[position]
-            atom = rule.antecedent[index]
-            if index == pivot:
-                view = _extend(atom, binding, delta_members, delta_pairs)
-            else:
-                view = _extend(atom, binding, full_members, full_pairs)
-            for extended in view:
+            view = delta if index == pivot else full
+            for extended in _extend(rule.antecedent[index], binding, view):
                 descend(position + 1, extended)
 
         descend(0, {})
-    return [found[key] for key in sorted(found)]
+    # Iri order is (prefix, local) order; the key compares those strings
+    # directly instead of calling Iri's comparisons at every step.
+    ordered = sorted(
+        found.items(),
+        key=lambda item: [(name, value.prefix, value.local) for name, value in item[0]],
+    )
+    return [binding for _, binding in ordered]
 
 
 def _ground(term, binding: Binding) -> Iri:
@@ -148,23 +184,23 @@ def forward_chain(tbox: TBox, abox: ABox) -> InferenceResult:
     closure = subclass_closure(tbox)
     work = abox.copy()
 
-    # A copy of the index: `work` gains facts during a round, and they must
-    # stay invisible until the next. All facts count as new in the first round.
+    # Facts derived in a round must stay invisible until the next. Class
+    # facts enter `work` at once, so their full view is a copy. Property
+    # facts enter `work` unindexed and reach its pair maps only when the
+    # round ends, so those maps are the full view. All facts count as new
+    # in the first round.
     full_members = work.members()
-    full_pairs = {prop: set(pairs) for prop, pairs in work.pairs.items()}
-    delta_members, delta_pairs = full_members, full_pairs
+    full: View = (full_members, work.by_subject, work.by_object)
+    delta = full
 
     fired: list[tuple[str, Binding]] = []
 
-    while delta_members or delta_pairs:
+    while delta[0] or delta[1]:  # any new class or property fact
         next_members: dict[Iri, set[Iri]] = {}
-        next_pairs: dict[Iri, set[tuple[Iri, Iri]]] = {}
+        derived: list[tuple[Iri, Iri, Iri]] = []
 
         for rule in tbox.rules:
-            bindings = _rule_bindings(
-                rule, full_members, full_pairs, delta_members, delta_pairs
-            )
-            for binding in bindings:
+            for binding in _rule_bindings(rule, full, delta):
                 head = rule.consequent
                 if isinstance(head, ClassAtom):
                     individual = _ground(head.term, binding)
@@ -178,19 +214,21 @@ def forward_chain(tbox: TBox, abox: ABox) -> InferenceResult:
                     subject = _ground(head.subject, binding)
                     obj = _ground(head.object, binding)
                     if not work._insert_property(
-                        subject, head.prop, obj, Inferred(rule.name)
+                        subject, head.prop, obj, Inferred(rule.name), indexed=False
                     ):
                         continue
                     fired.append((rule.name, binding))
-                    next_pairs.setdefault(head.prop, set()).add((subject, obj))
+                    derived.append((subject, head.prop, obj))
 
         # Facts derived this round become visible (and "new") next round.
         for cls, members in next_members.items():
             full_members.setdefault(cls, set()).update(members)
-        for prop, pairs in next_pairs.items():
-            full_pairs.setdefault(prop, set()).update(pairs)
-        delta_members = next_members
-        delta_pairs = next_pairs
+        next_by_subject: PairMap = {}
+        next_by_object: PairMap = {}
+        for subject, prop, obj in derived:
+            index_pair(work.by_subject, work.by_object, subject, prop, obj)
+            index_pair(next_by_subject, next_by_object, subject, prop, obj)
+        delta = (next_members, next_by_subject, next_by_object)
 
     violations = check_consistency(tbox, work)
     return InferenceResult(

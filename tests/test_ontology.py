@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from ruleweave.errors import (
@@ -57,6 +63,55 @@ def test_iri_rejects_malformed(text):
 
 def test_iri_equality_is_case_sensitive():
     assert Iri("h", "statement") != Iri("h", "Statement")
+
+
+def test_iri_hash_is_the_field_tuple_hash_and_is_cached():
+    iri = Iri("h", "Statement")
+    assert "_hash" not in vars(iri)
+    assert hash(iri) == hash(("h", "Statement"))
+    assert vars(iri)["_hash"] == hash(("h", "Statement"))
+    assert hash(iri) == hash(Iri.parse("h:Statement"))
+
+
+def test_iri_equality_ordering_and_repr_ignore_the_cached_hash():
+    hashed, fresh = Iri("h", "b"), Iri("h", "b")
+    hash(hashed)
+    assert hashed == fresh and not hashed != fresh
+    assert Iri("h", "a") < hashed < Iri("h", "c") < Iri("i", "a")
+    assert sorted([Iri("i", "a"), hashed, Iri("h", "a")]) == [Iri("h", "a"), fresh, Iri("i", "a")]
+    assert repr(hashed) == repr(fresh) == "Iri(prefix='h', local='b')"
+    assert len({hashed, fresh}) == 1
+
+
+def test_iri_pickle_and_copy_carry_no_cached_hash():
+    iri = Iri("h", "Statement")
+    hash(iri)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(iri, protocol)
+        assert b"_hash" not in data
+        loaded = pickle.loads(data)
+        assert "_hash" not in vars(loaded)
+        assert loaded == iri and hash(loaded) == hash(iri)
+    for dup in (copy.copy(iri), copy.deepcopy(iri)):
+        assert dup == iri and "_hash" not in vars(dup)
+
+
+def test_iri_unpickled_under_another_hash_seed_hashes_by_that_seed():
+    iri = Iri("h", "Statement")
+    script = (
+        "import pickle, sys\n"
+        "from ruleweave.ontology import Iri\n"
+        "iri = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert hash(iri) == hash(('h', 'Statement')) != int(sys.argv[1])\n"
+        "assert iri in {Iri('h', 'Statement')}\n"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    subprocess.run(
+        [sys.executable, "-c", script, str(hash(iri))],
+        input=pickle.dumps(iri),
+        env={**os.environ, "PYTHONHASHSEED": seed},
+        check=True,
+    )
 
 
 def test_variable_name_validation():
@@ -296,6 +351,25 @@ def test_abox_copy_is_independent():
     assert abox.is_member(Iri("i", "s1"), H_OOC) and dup.is_member(Iri("i", "s1"), H_OOC)
     assert not abox.is_member(Iri("i", "s2"), H_OOC)
     assert dup.is_member(Iri("i", "s2"), H_OOC)
+
+
+def test_pair_maps_index_both_directions_and_copy_independently():
+    tbox = make_tbox()
+    knows = Iri("h", "knows")
+    tbox.declare_property(knows)
+    a, b, c = Iri("i", "a"), Iri("i", "b"), Iri("i", "c")
+    abox = ABox(tbox)
+    abox.assert_property(a, knows, b, "j")
+    abox.assert_property(a, knows, c, "j")
+    abox.assert_property(a, knows, b, "again")
+    assert abox.by_subject == {knows: {a: {b, c}}}
+    assert abox.by_object == {knows: {b: {a}, c: {a}}}
+    dup = abox.copy()
+    dup.assert_property(c, knows, b, "j")
+    assert abox.by_subject == {knows: {a: {b, c}}}
+    assert abox.by_object == {knows: {b: {a}, c: {a}}}
+    assert dup.by_subject == {knows: {a: {b, c}, c: {b}}}
+    assert dup.by_object == {knows: {b: {a, c}, c: {a}}}
 
 
 def test_inferred_origin_carries_rule_name():

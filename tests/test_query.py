@@ -270,6 +270,40 @@ def test_execute_matches_brute_force_oracle_on_random_instances():
         checked += 1
 
 
+def test_bound_term_patterns_match_brute_force_oracle():
+    """Each pattern shape that reaches a by-subject or by-object lookup, or
+    binds a predicate or class variable after an earlier pattern."""
+    prefixes = "PREFIX t: <http://example.org/t#> PREFIX i: <http://example.org/i#> "
+    shapes = [
+        "SELECT ?y WHERE {{ i:x{a} t:p{p} ?y . }}",
+        "SELECT ?x WHERE {{ ?x t:p{p} i:x{b} . }}",
+        "SELECT ?x WHERE {{ ?x t:p{p} ?x . }}",
+        "SELECT ?x WHERE {{ i:x{a} t:p{p} i:x{b} . ?x t:p{q} i:x{b} . }}",
+        "SELECT ?x ?z WHERE {{ ?x t:p{p} ?y . ?z t:p{q} ?y . }}",
+        "SELECT ?x ?p ?z WHERE {{ ?x t:p{p} ?y . ?y ?p ?z . }}",
+        "SELECT ?y ?c WHERE {{ ?x t:p{p} ?y . ?y a ?c . }}",
+        "SELECT ?x ?y WHERE {{ ?x t:p{p} ?y . ?y t:p{q} ?x . }}",
+        "SELECT ?x WHERE {{ ?x a t:C{c} . ?x t:p{p} ?x . }}",
+    ]
+    rng = random.Random(31415)
+    checked = 0
+    while checked < 30 * len(shapes):
+        tbox, abox = random_instance(rng)
+        if not tbox.properties:
+            continue
+        shape = shapes[checked % len(shapes)]
+        text = prefixes + shape.format(
+            a=rng.randrange(8),
+            b=rng.randrange(8),
+            c=rng.randrange(len(tbox.classes)),
+            p=rng.randrange(len(tbox.properties)),
+            q=rng.randrange(len(tbox.properties)),
+        )
+        query = parse_query(text)
+        assert execute(query, tbox, abox) == brute_force_query(query, tbox, abox), text
+        checked += 1
+
+
 def test_format_tsv():
     tbox = inspection_tbox()
     query = parse_query(HEARSAY_QUERY)
