@@ -42,7 +42,13 @@ from .evaluation import (
     run_condition,
     sample_dataset,
 )
-from .pipeline import Condition, load_traces, parse_condition, restore_abox
+from .pipeline import (
+    Condition,
+    load_traces,
+    parse_condition,
+    restore_abox,
+    snapshot_of,
+)
 from .query import execute, format_tsv, parse_query
 from .tasklib import (
     BUILTIN_TASK_IDS,
@@ -276,11 +282,9 @@ def cmd_query(args) -> int:
         raise DatasetError(f"instance {sorted(unknown)[0]!r} not present in {args.trace}")
 
     snapshots = [
-        record["abox_snapshot"]
-        for record in records
-        if (not wanted or record["instance_id"] in wanted) and record.get("abox_snapshot")
+        snapshot_of(record) for record in records if not wanted or record["instance_id"] in wanted
     ]
-    if not snapshots:
+    if not any(snapshots):
         raise DatasetError(
             f"{args.trace} holds no ABox snapshots; query needs traces from a "
             "reasoner-backed condition (SD or SD-Comp)"

@@ -205,6 +205,27 @@ def render_snapshot(snapshot: list[dict]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_TRIPLE_FIELDS = ("subject", "predicate", "object", "origin")
+
+
+def snapshot_of(record: dict) -> list[dict]:
+    """A trace record's ABox snapshot, empty when it has none. Raises
+    ValueError naming the instance unless the snapshot is a list of objects
+    with string subject, predicate, object and origin."""
+    snapshot = record.get("abox_snapshot")
+    if snapshot is None:
+        return []
+    instance = record.get("instance_id")
+    if not isinstance(snapshot, list):
+        raise ValueError(f"instance {instance!r}: abox_snapshot is not a list")
+    for triple in snapshot:
+        if not isinstance(triple, dict) or not all(
+            isinstance(triple.get(name), str) for name in _TRIPLE_FIELDS
+        ):
+            raise ValueError(f"instance {instance!r}: malformed snapshot triple {triple!r}")
+    return snapshot
+
+
 def restore_abox(tbox: TBox, snapshot: Iterable[dict]) -> ABox:
     """Assert snapshot triples through the validated ABox API, so a triple
     naming an undeclared class or property raises. The justification is the
@@ -233,7 +254,7 @@ def replay_reasoning(task: TaskDefinition, trace: dict) -> tuple[str, bool]:
     Returns (prediction, consistent); prediction must equal the stored one
     for SD traces, since the symbolic half is deterministic.
     """
-    abox = rebuild_asserted_abox(task, trace["abox_snapshot"])
+    abox = rebuild_asserted_abox(task, snapshot_of(trace))
     result = forward_chain(task.tbox, abox)
     target = mint_individual(trace["instance_id"], task.target_entity)
     if not result.consistent:

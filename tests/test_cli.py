@@ -355,3 +355,35 @@ def test_malformed_trace_file_exits_4(capsys, tmp_path, command, lines, message)
     assert code == 4
     assert err.startswith("data error:")
     assert message in err
+
+
+_TRIPLE = {"subject": "inst:t01_s", "predicate": "a", "object": "h:Hearsay", "origin": "asserted:j"}
+
+
+@pytest.mark.parametrize(
+    "snapshot, message",
+    [
+        ([{k: v for k, v in _TRIPLE.items() if k != "origin"}], "malformed snapshot triple"),
+        ("not a list", "abox_snapshot is not a list"),
+        ([_TRIPLE, [1, 2]], "malformed snapshot triple [1, 2]"),
+        ([{**_TRIPLE, "subject": 7}], "malformed snapshot triple"),
+    ],
+    ids=["triple-without-origin", "string-snapshot", "non-object-triple", "subject-not-a-string"],
+)
+def test_malformed_snapshot_exits_4(capsys, tmp_path, snapshot, message):
+    path = tmp_path / "traces.jsonl"
+    lines = [_HEADER, {**_INSTANCE, "abox_snapshot": snapshot}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["query", "--trace", str(path), "--query", HEARSAY_CLASS_QUERY])
+    assert code == 4
+    assert err.startswith("data error: instance 't01': ")
+    assert message in err
+
+
+def test_well_formed_snapshot_triple_is_queried(capsys, tmp_path):
+    path = tmp_path / "traces.jsonl"
+    lines = [_HEADER, {**_INSTANCE, "abox_snapshot": [_TRIPLE]}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["query", "--trace", str(path), "--query", HEARSAY_CLASS_QUERY])
+    assert code == 0
+    assert out == "?s\ninst:t01_s\n"
