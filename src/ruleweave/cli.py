@@ -47,7 +47,7 @@ from .pipeline import (
     load_traces,
     parse_condition,
     restore_abox,
-    snapshot_of,
+    _snapshot_of,
 )
 from .query import execute, format_tsv, parse_query
 from .tasklib import (
@@ -282,7 +282,7 @@ def cmd_query(args) -> int:
         raise DatasetError(f"instance {sorted(unknown)[0]!r} not present in {args.trace}")
 
     snapshots = [
-        snapshot_of(record) for record in records if not wanted or record["instance_id"] in wanted
+        _snapshot_of(record) for record in records if not wanted or record["instance_id"] in wanted
     ]
     if not any(snapshots):
         raise DatasetError(

@@ -331,7 +331,7 @@ class TBox:
 PairMap = dict[Iri, dict[Iri, set[Iri]]]
 
 
-def index_pair(
+def _index_pair(
     by_subject: PairMap, by_object: PairMap, subject: Iri, prop: Iri, obj: Iri
 ) -> None:
     """Record the pair (subject, obj) of prop in both directions."""
@@ -413,7 +413,7 @@ class ABox:
     ) -> bool:
         """Record the fact; False if it was already present. With indexed
         false the pair maps are left for the caller to update through
-        `index_pair`, which the reasoner does when a round ends."""
+        `_index_pair`, which the reasoner does when a round ends."""
         if prop not in self.tbox.properties:
             raise UndeclaredError(f"property {prop} not declared in TBox")
         key = (subject, prop, obj)
@@ -423,7 +423,7 @@ class ABox:
             return False
         self.property_assertions[key] = origin
         if indexed:
-            index_pair(self.by_subject, self.by_object, subject, prop, obj)
+            _index_pair(self.by_subject, self.by_object, subject, prop, obj)
         return True
 
     # -- lookups -------------------------------------------------------------

@@ -208,7 +208,7 @@ def render_snapshot(snapshot: list[dict]) -> str:
 _TRIPLE_FIELDS = ("subject", "predicate", "object", "origin")
 
 
-def snapshot_of(record: dict) -> list[dict]:
+def _snapshot_of(record: dict) -> list[dict]:
     """A trace record's ABox snapshot, empty when it has none. Raises
     ValueError naming the instance unless the snapshot is a list of objects
     with string subject, predicate, object and origin."""
@@ -254,7 +254,7 @@ def replay_reasoning(task: TaskDefinition, trace: dict) -> tuple[str, bool]:
     Returns (prediction, consistent); prediction must equal the stored one
     for SD traces, since the symbolic half is deterministic.
     """
-    abox = rebuild_asserted_abox(task, snapshot_of(trace))
+    abox = rebuild_asserted_abox(task, _snapshot_of(trace))
     result = forward_chain(task.tbox, abox)
     target = mint_individual(trace["instance_id"], task.target_entity)
     if not result.consistent:

@@ -50,7 +50,7 @@ from .ontology import (
     SwrlRule,
     TBox,
     Variable,
-    index_pair,
+    _index_pair,
 )
 
 log = logging.getLogger(__name__)
@@ -226,8 +226,8 @@ def forward_chain(tbox: TBox, abox: ABox) -> InferenceResult:
         next_by_subject: PairMap = {}
         next_by_object: PairMap = {}
         for subject, prop, obj in derived:
-            index_pair(work.by_subject, work.by_object, subject, prop, obj)
-            index_pair(next_by_subject, next_by_object, subject, prop, obj)
+            _index_pair(work.by_subject, work.by_object, subject, prop, obj)
+            _index_pair(next_by_subject, next_by_object, subject, prop, obj)
         delta = (next_members, next_by_subject, next_by_object)
 
     violations = check_consistency(tbox, work)

@@ -379,11 +379,3 @@ def test_malformed_snapshot_exits_4(capsys, tmp_path, snapshot, message):
     assert err.startswith("data error: instance 't01': ")
     assert message in err
 
-
-def test_well_formed_snapshot_triple_is_queried(capsys, tmp_path):
-    path = tmp_path / "traces.jsonl"
-    lines = [_HEADER, {**_INSTANCE, "abox_snapshot": [_TRIPLE]}]
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
-    code, out, _ = run_cli(capsys, ["query", "--trace", str(path), "--query", HEARSAY_CLASS_QUERY])
-    assert code == 0
-    assert out == "?s\ninst:t01_s\n"
