@@ -254,7 +254,7 @@ def replay_reasoning(task: TaskDefinition, trace: dict) -> tuple[str, bool]:
     Returns (prediction, consistent); prediction must equal the stored one
     for SD traces, since the symbolic half is deterministic.
     """
-    abox = rebuild_asserted_abox(task, _snapshot_of(trace))
+    abox = rebuild_asserted_abox(task, trace["abox_snapshot"])
     result = forward_chain(task.tbox, abox)
     target = mint_individual(trace["instance_id"], task.target_entity)
     if not result.consistent:
