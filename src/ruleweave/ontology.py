@@ -62,12 +62,18 @@ class Iri:
         if not self.local or not _NAME_RE.match(self.local):
             raise IriError(f"bad local name in {self.prefix!r}:{self.local!r}")
 
+    # Not a field: the class-level default stands until the first hash.
+    _hash = None
+
     def __hash__(self) -> int:
-        # The dataclass's own value, computed on first use and kept in the
-        # instance dict: every fact index hashes the same Iris many times.
-        cached = self.__dict__.get("_hash")
+        # The dataclass's own value, computed on first use and kept on the
+        # instance: every fact index hashes the same Iris many times. Set
+        # through object.__setattr__ rather than by writing to `__dict__`,
+        # which would materialise a dict and slow every later attribute read.
+        cached = self._hash
         if cached is None:
-            cached = self.__dict__["_hash"] = hash((self.prefix, self.local))
+            cached = hash((self.prefix, self.local))
+            object.__setattr__(self, "_hash", cached)
         return cached
 
     def __reduce__(self):

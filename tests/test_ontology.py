@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import ruleweave
 from ruleweave.errors import (
     DisjointnessError,
     DomainRangeError,
@@ -106,10 +107,11 @@ def test_iri_unpickled_under_another_hash_seed_hashes_by_that_seed():
         "assert iri in {Iri('h', 'Statement')}\n"
     )
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    source_root = os.path.dirname(os.path.dirname(ruleweave.__file__))
     subprocess.run(
         [sys.executable, "-c", script, str(hash(iri))],
         input=pickle.dumps(iri),
-        env={**os.environ, "PYTHONHASHSEED": seed},
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": source_root},
         check=True,
     )
 
