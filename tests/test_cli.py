@@ -378,4 +378,3 @@ def test_malformed_snapshot_exits_4(capsys, tmp_path, snapshot, message):
     assert code == 4
     assert err.startswith("data error: instance 't01': ")
     assert message in err
-
