@@ -86,7 +86,7 @@ def _unify(term, value: Iri, binding: Binding) -> Optional[Binding]:
     return binding if term == value else None
 
 
-# One side of the index: class -> members, and the two pair maps.
+# A view of the facts: class -> members, and the two pair maps.
 View = tuple[dict[Iri, set[Iri]], PairMap, PairMap]
 
 _NO_PAIRS: dict[Iri, set[Iri]] = {}
