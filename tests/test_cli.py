@@ -6,6 +6,7 @@ codes, and output files are all exercised the way a shell user sees them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from importlib import resources
 
@@ -132,6 +133,30 @@ def test_run_record_produces_a_working_replay(capsys, tmp_path):
     first = (tmp_path / "first" / "hearsay" / "SD" / "scripted" / "traces.jsonl").read_bytes()
     second = (tmp_path / "second" / "hearsay" / "SD" / "scripted" / "traces.jsonl").read_bytes()
     assert first == second
+
+
+# SHA-256 of the replay file that `run --record` writes for each built-in task
+# run under all six conditions from its bundled replay.
+GRID_REPLAY_SHA256 = {
+    "hearsay": "2c5dc193e50c9b519b68c71bdf43392057cd7e1ecbe6418afd5af5e183e7dd9a",
+    "method_application": "2870309ec13357fb11126d4c5d62fc4fec4e4467023bd14cef4c984fe446b118",
+    "clinical_eligibility": "e1f095d07373f475e449de7d2cc6a67ecaddfe025f5de333dd60c4dcb27f0eee",
+}
+
+
+def test_recorded_grid_replay_matches_the_pinned_digest(capsys, tmp_path):
+    conditions = ["FS", "CoT", "SD", "SD-Comp", "SD-Direct", "SD-Direct-Comp"]
+    digests = {}
+    for task_id in GRID_REPLAY_SHA256:
+        recorded = tmp_path / f"{task_id}.replay.json"
+        argv = ["run", "--task", task_id, "--out", str(tmp_path / "out"), "--timestamp", "t0"]
+        argv += ["--record", str(recorded)]
+        for condition in conditions:
+            argv += ["--condition", condition]
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        digests[task_id] = hashlib.sha256(recorded.read_bytes()).hexdigest()
+    assert digests == GRID_REPLAY_SHA256
 
 
 def test_run_unknown_condition_exits_2(capsys, tmp_path):
