@@ -1,9 +1,11 @@
-"""Chat backends: a live HTTP client, a scripted replay store, and a recorder.
+"""Chat backends: a live HTTP client and a scripted exchange store.
 
 Every backend answers ``complete(request)`` with the raw response text plus a
-parsed JSON payload when the text contains one. The scripted backend is the
-workhorse for tests and fixtures; it maps ``(instance_id, step)`` to a canned
-response and never touches the network.
+parsed JSON payload when the text contains one. The scripted backend maps
+``(instance_id, step)`` to a reply text. On its own it replays a fixture and
+never touches the network; wrapped around a live backend it records each
+reply it forwards and replays a step it already holds, so a recorded run
+replays to the same traces.
 """
 
 from __future__ import annotations
@@ -91,14 +93,19 @@ class Backend(Protocol):
 
 
 class ScriptedBackend:
-    """Immutable map from (instance_id, step) to a canned response text.
+    """One map from (instance_id, step) to a reply text that replays and records.
 
-    Repair steps fall back to the base step when no dedicated repair entry
-    exists, so a well-formed fixture does not need one entry per retry.
+    A held key is replayed and never sent on. A missing key goes to the inner
+    backend, when there is one, and its reply is held from then on, so
+    ``save`` writes a file that replays the run. With no inner backend a
+    repair step falls back to its base step, so a well-formed fixture does
+    not need one entry per retry.
     """
 
-    def __init__(self, responses: dict[tuple[str, str], str]):
+    def __init__(self, responses: dict[tuple[str, str], str], inner: Optional[Backend] = None):
         self._responses = dict(responses)
+        self._inner = inner
+        self._lock = threading.Lock()
 
     @classmethod
     def from_records(cls, records) -> "ScriptedBackend":
@@ -106,11 +113,12 @@ class ScriptedBackend:
         for i, record in enumerate(records):
             if not isinstance(record, dict) or not {"instance_id", "step", "response"} <= set(record):
                 raise BackendError(f"replay record {i} needs instance_id, step, response")
+            for name in ("instance_id", "step", "response"):
+                if not isinstance(record[name], str):
+                    raise BackendError(f"replay record {i}: {name} must be a string")
             key = (record["instance_id"], record["step"])
             if key in responses:
                 raise BackendError(f"duplicate replay entry for {key}")
-            if not isinstance(record["response"], str):
-                raise BackendError(f"replay record {i}: response must be a string")
             responses[key] = record["response"]
         return cls(responses)
 
@@ -128,39 +136,25 @@ class ScriptedBackend:
     def complete(self, request: ChatRequest) -> BackendResponse:
         key = (request.instance_id, request.step)
         text = self._responses.get(key)
+        if text is None and self._inner is not None:
+            response = self._inner.complete(request)
+            with self._lock:
+                self._responses.setdefault(key, response.text)
+            return response
         if text is None and request.step.endswith("_repair"):
             text = self._responses.get((request.instance_id, request.step[: -len("_repair")]))
         if text is None:
             raise BackendError(f"no scripted response for {key}")
         return BackendResponse(text=text, data=parse_json_payload(text))
 
-
-class RecordingBackend:
-    """Wraps a live backend and keeps every exchange for later replay."""
-
-    def __init__(self, inner: Backend):
-        self._inner = inner
-        self._records: list[dict] = []
-        self._lock = threading.Lock()
-
-    def complete(self, request: ChatRequest) -> BackendResponse:
-        response = self._inner.complete(request)
-        with self._lock:
-            self._records.append(
-                {
-                    "instance_id": request.instance_id,
-                    "step": request.step,
-                    "response": response.text,
-                }
-            )
-        return response
-
     def save(self, path) -> None:
+        """Write every held reply as a replay file, sorted by key."""
         with self._lock:
-            merged: dict[tuple[str, str], dict] = {}
-            for record in self._records:
-                merged[(record["instance_id"], record["step"])] = record
-        records = [merged[key] for key in sorted(merged)]
+            held = sorted(self._responses.items())
+        records = [
+            {"instance_id": instance_id, "step": step, "response": text}
+            for (instance_id, step), text in held
+        ]
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(records, handle, indent=2, ensure_ascii=False)
             handle.write("\n")
@@ -249,6 +243,8 @@ class HttpBackend:
             try:
                 payload = reply.json()
                 text = payload["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    raise TypeError(f"message content is {type(text).__name__}, not a string")
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"unexpected response shape from {self.endpoint}: {exc}") from exc
             return BackendResponse(text=text, data=parse_json_payload(text))

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backends import Backend, HttpBackend, RecordingBackend, ScriptedBackend
+from .backends import Backend, HttpBackend, ScriptedBackend
 from .errors import (
     BackendError,
     ConfigError,
@@ -184,10 +184,8 @@ def cmd_run(args) -> int:
         dataset = sample_dataset(dataset, args.sample, args.seed)
     config = _load_config(args.config)
     backend, model = _build_backend(args, task, config)
-    recorder = None
     if args.record:
-        recorder = RecordingBackend(backend)
-        backend = recorder
+        backend = ScriptedBackend({}, inner=backend)
     temperature = float(args.temperature if args.temperature is not None else config.get("temperature", 0.0))
 
     for condition in _run_conditions(args):
@@ -214,8 +212,8 @@ def cmd_run(args) -> int:
             f"acc={accuracy} scored={cell.scored} errors={cell.excluded_errors} "
             f"-> {run.trace_path}"
         )
-    if recorder is not None:
-        recorder.save(args.record)
+    if args.record:
+        backend.save(args.record)
         print(f"recorded replay -> {args.record}")
     return 0
 

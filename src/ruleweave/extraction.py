@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, TypeVar
 
 from .backends import Backend, ChatRequest
@@ -477,15 +477,7 @@ def repair_request(request: ChatRequest, error: MalformedResponseError) -> ChatR
         f"Your previous reply could not be used: {error}. "
         "Reply again with a single JSON object that matches the schema exactly."
     )
-    return ChatRequest(
-        system=request.system,
-        user=f"{request.user}\n\n{note}",
-        response_schema=request.response_schema,
-        model=request.model,
-        instance_id=request.instance_id,
-        step=f"{request.step}_repair",
-        temperature=request.temperature,
-    )
+    return replace(request, user=f"{request.user}\n\n{note}", step=f"{request.step}_repair")
 
 
 def run_step(

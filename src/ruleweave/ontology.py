@@ -434,10 +434,6 @@ class ABox:
 
     # -- lookups -------------------------------------------------------------
 
-    def classes_of(self, individual: Iri) -> set[Iri]:
-        """Directly recorded classes (asserted or inferred), no closure."""
-        return set(self.direct_classes.get(individual, ()))
-
     def is_member(self, individual: Iri, cls: Iri) -> bool:
         """Membership with subclass closure over recorded classes."""
         closure = self.tbox.closure

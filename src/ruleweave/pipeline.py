@@ -43,7 +43,7 @@ from .extraction import (
     run_step,
 )
 from .ontology import ABox, Asserted, Inferred, Iri, TBox
-from .reasoner import classify, forward_chain
+from .reasoner import InferenceResult, classify, forward_chain
 from .tasklib import BELONGS_TO_CASE, BINARY, TaskDefinition, UNARY
 
 OUTCOME_OK = "Ok"
@@ -69,10 +69,6 @@ class Condition(enum.Enum):
     @property
     def uses_reasoner(self) -> bool:
         return self in (Condition.SD, Condition.SD_COMP)
-
-    @property
-    def is_baseline(self) -> bool:
-        return self in (Condition.FS, Condition.COT)
 
 
 _CONDITION_ALIASES = {
@@ -114,51 +110,16 @@ class InstanceTrace:
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "type": "instance",
-            "instance_id": self.instance_id,
-            "condition": self.condition,
-            "label": self.label,
-            "prediction": self.prediction,
-            "outcome": self.outcome,
-            "error": self.error,
-            "entity_extraction": self.entity_extraction,
-            "assertion_extraction": self.assertion_extraction,
-            "abox_snapshot": self.abox_snapshot,
-            "fired": self.fired,
-            "raw_exchanges": self.raw_exchanges,
-        }
+        return {"type": "instance", **vars(self)}
 
 
-# -- JSON-able views of extraction results -------------------------------------
-
-
-def _entities_to_dict(entities: EntityExtraction) -> dict:
+def _extraction_to_dict(extraction: EntityExtraction | AssertionExtraction) -> dict:
+    """A JSON view of an entity or assertion extraction; Iri fields become
+    prefix:Local strings."""
     return {
         "records": [
-            {
-                "name": r.name,
-                "found": r.found,
-                "span": r.span,
-                "individual": str(r.individual) if r.individual else None,
-                "explanation": r.explanation,
-            }
-            for r in entities.records
-        ]
-    }
-
-
-def _assertions_to_dict(assertions: AssertionExtraction) -> dict:
-    return {
-        "records": [
-            {
-                "name": r.name,
-                "holds": r.holds,
-                "subject": str(r.subject) if r.subject else None,
-                "object": str(r.object) if r.object else None,
-                "justification": r.justification,
-            }
-            for r in assertions.records
+            {k: str(v) if isinstance(v, Iri) else v for k, v in vars(r).items()}
+            for r in extraction.records
         ]
     }
 
@@ -248,19 +209,24 @@ def rebuild_asserted_abox(task: TaskDefinition, snapshot: list[dict]) -> ABox:
     return restore_abox(task.tbox, (t for t in snapshot if t["origin"].startswith(_ASSERTED)))
 
 
+def _label(task: TaskDefinition, instance_id: str, result: InferenceResult) -> str:
+    """The positive label iff the chain is consistent and derives the target
+    class for the instance's target entity."""
+    if not result.consistent:
+        return task.negative_label
+    target = mint_individual(instance_id, task.target_entity)
+    positive = classify(result, target, task.target_class)
+    return task.positive_label if positive else task.negative_label
+
+
 def replay_reasoning(task: TaskDefinition, trace: dict) -> tuple[str, bool]:
     """Re-run only the reasoner over a trace's asserted facts.
 
     Returns (prediction, consistent); prediction must equal the stored one
     for SD traces, since the symbolic half is deterministic.
     """
-    abox = rebuild_asserted_abox(task, trace["abox_snapshot"])
-    result = forward_chain(task.tbox, abox)
-    target = mint_individual(trace["instance_id"], task.target_entity)
-    if not result.consistent:
-        return task.negative_label, False
-    positive = classify(result, target, task.target_class)
-    return task.positive_label if positive else task.negative_label, True
+    result = forward_chain(task.tbox, rebuild_asserted_abox(task, trace["abox_snapshot"]))
+    return _label(task, trace["instance_id"], result), result.consistent
 
 
 # -- ABox population ------------------------------------------------------------
@@ -331,12 +297,12 @@ def evaluate_instance(
         else:
             request = build_entity_prompt(task, text, **prompt)
             entities = ask(request, lambda data: parse_entity_response(data, task, instance_id))
-            trace.entity_extraction = _entities_to_dict(entities)
+            trace.entity_extraction = _extraction_to_dict(entities)
             request = build_assertion_prompt(task, text, entities, complementary, **prompt)
             assertions = ask(
                 request, lambda data: parse_assertion_response(data, task, entities, complementary)
             )
-            trace.assertion_extraction = _assertions_to_dict(assertions)
+            trace.assertion_extraction = _extraction_to_dict(assertions)
             if not condition.uses_reasoner:
                 request = build_direct_prompt(task, entities, assertions, complementary, **prompt)
                 answer = ask(request, lambda data: parse_answer_response(data, task))
@@ -357,12 +323,9 @@ def evaluate_instance(
         {"rule": name, "binding": {var: str(value) for var, value in binding.items()}}
         for name, binding in result.fired
     ]
-    if result.consistent:
-        target = mint_individual(instance_id, task.target_entity)
-        positive = classify(result, target, task.target_class)
-        trace.prediction = task.positive_label if positive else task.negative_label
-    else:
-        trace.prediction, trace.outcome = task.negative_label, OUTCOME_INCONSISTENT
+    trace.prediction = _label(task, instance_id, result)
+    if not result.consistent:
+        trace.outcome = OUTCOME_INCONSISTENT
         trace.error = "; ".join(
             f"{ind} is a member of disjoint classes {a} and {b}"
             for ind, a, b in result.violations

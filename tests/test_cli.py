@@ -12,6 +12,8 @@ from importlib import resources
 
 import pytest
 
+from ruleweave import cli
+from ruleweave.backends import BackendResponse
 from ruleweave.cli import main
 
 HEARSAY_CLASS_QUERY = (
@@ -159,11 +161,57 @@ def test_recorded_grid_replay_matches_the_pinned_digest(capsys, tmp_path):
     assert digests == GRID_REPLAY_SHA256
 
 
+class _DriftingBackend:
+    """Pads each reply with one more trailing space per call: the same JSON,
+    but a different raw reply, as a sampling model gives."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        response = self.inner.complete(request)
+        return BackendResponse(response.text + " " * self.calls, response.data)
+
+
+def test_recorded_run_replays_every_condition_that_shares_a_step(capsys, tmp_path, monkeypatch):
+    recorded = tmp_path / "recorded.replay.json"
+    conditions = ("--condition", "SD", "--condition", "SD-Direct")
+    build_backend = cli._build_backend
+
+    def drifting(args, task, config):
+        backend, model = build_backend(args, task, config)
+        return _DriftingBackend(backend), model
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_backend", drifting)
+        code, _, _ = run_hearsay(capsys, tmp_path / "first", *conditions, "--record", str(recorded))
+    assert code == 0
+    code, _, _ = run_hearsay(capsys, tmp_path / "second", *conditions, "--replay", str(recorded))
+    assert code == 0
+    for condition in ("SD", "SD-Direct"):
+        first = tmp_path / "first" / "hearsay" / condition / "scripted" / "traces.jsonl"
+        second = tmp_path / "second" / "hearsay" / condition / "scripted" / "traces.jsonl"
+        assert first.read_bytes() == second.read_bytes(), condition
+
+
 def test_run_unknown_condition_exits_2(capsys, tmp_path):
     code, _, err = run_hearsay(capsys, tmp_path, "--condition", "Nope")
     assert code == 2
     assert err.startswith("config error:")
     assert "Nope" in err
+
+
+def test_run_replay_record_with_a_list_step_exits_3(capsys, tmp_path):
+    replay = tmp_path / "bad.replay.json"
+    replay.write_text(
+        json.dumps([{"instance_id": "t01", "step": ["entity"], "response": "{}"}]),
+        encoding="utf-8",
+    )
+    code, _, err = run_hearsay(capsys, tmp_path, "--replay", str(replay))
+    assert code == 3
+    assert err.startswith("backend error: replay record 0: step must be a string")
 
 
 def test_run_missing_dataset_exits_4(capsys, tmp_path):

@@ -12,7 +12,6 @@ from ruleweave.backends import (
     BackendResponse,
     ChatRequest,
     HttpBackend,
-    RecordingBackend,
     ScriptedBackend,
     parse_json_payload,
 )
@@ -404,13 +403,57 @@ def test_scripted_backend_duplicate_records_rejected():
         ScriptedBackend.from_records(records)
 
 
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ({"instance_id": "t01", "step": ["entity"], "response": "{}"}, "step"),
+        ({"instance_id": 1, "step": "entity", "response": "{}"}, "instance_id"),
+        ({"instance_id": "t01", "step": "entity", "response": {}}, "response"),
+    ],
+)
+def test_scripted_backend_rejects_non_string_record_fields(record, field):
+    records = [{"instance_id": "t00", "step": "fs", "response": "{}"}, record]
+    with pytest.raises(BackendError, match=f"replay record 1: {field} must be a string"):
+        ScriptedBackend.from_records(records)
+
+
+class _SpyBackend:
+    def __init__(self):
+        self.steps = []
+
+    def complete(self, request):
+        self.steps.append((request.instance_id, request.step))
+        return BackendResponse(text=f'{{"call": {len(self.steps)}}}', data={"call": len(self.steps)})
+
+
+def test_store_forwards_each_missing_key_once_and_never_a_held_one():
+    spy = _SpyBackend()
+    store = ScriptedBackend({("a", "fs"): '{"held": true}'}, inner=spy)
+    held = ChatRequest("s", "u", {"k": 1}, model="m", instance_id="a", step="fs")
+    fresh = ChatRequest("s", "u", {"k": 1}, model="m", instance_id="b", step="fs")
+    assert store.complete(held).data == {"held": True}
+    assert store.complete(fresh).data == {"call": 1}
+    assert store.complete(fresh).data == {"call": 1}
+    assert spy.steps == [("b", "fs")]
+
+
+def test_store_with_inner_backend_forwards_a_repair_step():
+    spy = _SpyBackend()
+    store = ScriptedBackend({("x", "entity"): "not json"}, inner=spy)
+    response = store.complete(
+        ChatRequest("s", "u", {"k": 1}, model="m", instance_id="x", step="entity_repair")
+    )
+    assert response.data == {"call": 1}
+    assert spy.steps == [("x", "entity_repair")]
+
+
 def test_recording_backend_round_trip(tmp_path):
     inner = ScriptedBackend({("a", "fs"): '{"answer": "Yes"}'})
-    recorder = RecordingBackend(inner)
+    store = ScriptedBackend({}, inner=inner)
     request = ChatRequest("s", "u", {"k": 1}, model="m", instance_id="a", step="fs")
-    first = recorder.complete(request)
+    first = store.complete(request)
     path = tmp_path / "replay.json"
-    recorder.save(path)
+    store.save(path)
     replay = ScriptedBackend.from_file(path)
     assert replay.complete(request) == first
 
@@ -454,6 +497,17 @@ def test_http_backend_happy_path_and_retry(monkeypatch):
     assert len(calls) == 2
     assert calls[0][1] == "model-x"
     assert calls[0][2] == "Bearer k123"
+
+
+@pytest.mark.parametrize("content", [None, ["{}"], {"answer": "No"}])
+def test_http_backend_non_string_content_is_a_backend_error(monkeypatch, content):
+    import requests
+
+    reply = _FakeReply(200, {"choices": [{"message": {"content": content}}]})
+    monkeypatch.setattr(requests, "post", lambda *a, **k: reply)
+    backend = HttpBackend("https://api.example/v1/chat", "m", api_key="k")
+    with pytest.raises(BackendError, match="unexpected response shape.*not a string"):
+        backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
 
 
 def test_http_backend_client_error_is_fatal(monkeypatch):

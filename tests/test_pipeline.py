@@ -85,8 +85,6 @@ def test_condition_flags():
     assert not Condition.SD_DIRECT.uses_reasoner
     assert Condition.SD_COMP.complementary and Condition.SD_DIRECT_COMP.complementary
     assert not Condition.SD.complementary
-    assert Condition.FS.is_baseline and Condition.COT.is_baseline
-    assert not Condition.SD.is_baseline
 
 
 # -- SD -------------------------------------------------------------------------
