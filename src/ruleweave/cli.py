@@ -152,11 +152,7 @@ def _run_conditions(args) -> list[Condition]:
         conditions = [_COMP_ON.get(c, c) for c in conditions]
     elif args.complementary == "off":
         conditions = [_COMP_OFF.get(c, c) for c in conditions]
-    unique: list[Condition] = []
-    for condition in conditions:
-        if condition not in unique:
-            unique.append(condition)
-    return unique
+    return list(dict.fromkeys(conditions))
 
 
 def cmd_validate(args) -> int:

@@ -35,11 +35,10 @@ from .pipeline import (
     evaluate_instance,
 )
 from .stats import paired_t_test
-from .tasklib import BUILTIN_TASK_IDS, TaskDefinition
+from .tasklib import BUILTIN_TASK_IDS, NEGATIVE_LABEL, POSITIVE_LABEL, TaskDefinition
 
-LABELS = ("Yes", "No")
+LABELS = (POSITIVE_LABEL, NEGATIVE_LABEL)
 SPLITS = ("train", "test")
-POSITIVE_LABEL = "Yes"
 
 _RECORD_KEYS = ("id", "text", "label", "split")
 
@@ -179,10 +178,7 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def fold_counts(
-    rows: Iterable[Mapping[str, object]],
-    positive_label: str = POSITIVE_LABEL,
-) -> ConfusionCounts:
+def fold_counts(rows: Iterable[Mapping[str, object]]) -> ConfusionCounts:
     """Fold trace records into confusion counts.
 
     Rows need label, prediction, and outcome keys; instances with an Error
@@ -194,8 +190,8 @@ def fold_counts(
         if row["outcome"] == OUTCOME_ERROR:
             excluded += 1
             continue
-        actual = row["label"] == positive_label
-        predicted = row["prediction"] == positive_label
+        actual = row["label"] == POSITIVE_LABEL
+        predicted = row["prediction"] == POSITIVE_LABEL
         if actual and predicted:
             tp += 1
         elif actual:

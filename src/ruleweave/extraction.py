@@ -19,6 +19,8 @@ from .ontology import Iri
 from .tasklib import (
     BINARY,
     INSTANCE_PREFIX,
+    NEGATIVE_LABEL,
+    POSITIVE_LABEL,
     AssertionSpec,
     TaskDefinition,
     effective_assertion_specs,
@@ -59,15 +61,19 @@ class EntityRecord:
     explanation: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class EntityExtraction:
-    records: tuple[EntityRecord, ...]
+class _Records:
+    """An extraction's records, looked up by name."""
 
-    def get(self, name: str) -> EntityRecord:
+    def get(self, name: str):
         for record in self.records:
             if record.name == name:
                 return record
         raise KeyError(name)
+
+
+@dataclass(frozen=True)
+class EntityExtraction(_Records):
+    records: tuple[EntityRecord, ...]
 
     def found(self, name: str) -> bool:
         return self.get(name).found
@@ -83,14 +89,8 @@ class AssertionRecord:
 
 
 @dataclass(frozen=True)
-class AssertionExtraction:
+class AssertionExtraction(_Records):
     records: tuple[AssertionRecord, ...]
-
-    def get(self, name: str) -> AssertionRecord:
-        for record in self.records:
-            if record.name == name:
-                return record
-        raise KeyError(name)
 
 
 # -- prompt builders ----------------------------------------------------------
@@ -119,6 +119,13 @@ def _schema_records(key: str, count: int, fields: dict) -> dict:
             }
         },
     }
+
+
+def _answer_schema(reasoning: bool = False) -> dict:
+    """The schema of a label answer; CoT asks for its reasoning first."""
+    properties = {"reasoning": {"type": "string", "minLength": 1}} if reasoning else {}
+    properties["answer"] = {"enum": [POSITIVE_LABEL, NEGATIVE_LABEL]}
+    return {"type": "object", "required": list(properties), "properties": properties}
 
 
 def _system_preamble(task: TaskDefinition) -> str:
@@ -270,12 +277,7 @@ def build_direct_prompt(
     model: str = "",
     temperature: float = 0.0,
 ) -> ChatRequest:
-    labels = [task.positive_label, task.negative_label]
-    schema = {
-        "type": "object",
-        "required": ["answer"],
-        "properties": {"answer": {"enum": labels}},
-    }
+    schema = _answer_schema()
     lines = ["Extracted entities:"]
     for record in entities.records:
         if record.found:
@@ -289,7 +291,7 @@ def build_direct_prompt(
     lines.append("")
     lines.append(
         f"Based only on these extracted values, classify the {task.target_entity}: "
-        f"answer {labels[0]} or {labels[1]}. "
+        f"answer {POSITIVE_LABEL} or {NEGATIVE_LABEL}. "
         'Use JSON matching this schema:'
     )
     step = STEP_DIRECT_COMP if complementary else STEP_DIRECT
@@ -309,27 +311,14 @@ def build_baseline_prompt(
     _require_input(input_text)
     if style not in (STEP_FS, STEP_COT):
         raise ValueError(f"unknown baseline style {style!r}")
-    labels = [task.positive_label, task.negative_label]
+    schema = _answer_schema(reasoning=style == STEP_COT)
     if style == STEP_COT:
-        schema = {
-            "type": "object",
-            "required": ["reasoning", "answer"],
-            "properties": {
-                "reasoning": {"type": "string", "minLength": 1},
-                "answer": {"enum": labels},
-            },
-        }
         instruction = (
             "Reason step by step about the input, then give your final answer. "
             "Use JSON matching this schema:"
         )
     else:
-        schema = {
-            "type": "object",
-            "required": ["answer"],
-            "properties": {"answer": {"enum": labels}},
-        }
-        instruction = f"Answer {labels[0]} or {labels[1]}. Use JSON matching this schema:"
+        instruction = f"Answer {POSITIVE_LABEL} or {NEGATIVE_LABEL}. Use JSON matching this schema:"
     lines = []
     for i, (example_text, example_label) in enumerate(exemplars, start=1):
         lines.append(f"Example {i}:")
@@ -455,9 +444,9 @@ def parse_answer_response(data, task: TaskDefinition) -> str:
     if not isinstance(answer, str):
         raise MalformedResponseError("answer must be a string")
     answer = answer.strip()
-    if answer not in (task.positive_label, task.negative_label):
+    if answer not in (POSITIVE_LABEL, NEGATIVE_LABEL):
         raise MalformedResponseError(
-            f"answer must be {task.positive_label!r} or {task.negative_label!r}, got {answer!r}"
+            f"answer must be {POSITIVE_LABEL!r} or {NEGATIVE_LABEL!r}, got {answer!r}"
         )
     return answer
 

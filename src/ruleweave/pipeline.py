@@ -44,7 +44,7 @@ from .extraction import (
 )
 from .ontology import ABox, Asserted, Inferred, Iri, TBox
 from .reasoner import InferenceResult, classify, forward_chain
-from .tasklib import BELONGS_TO_CASE, BINARY, TaskDefinition, UNARY
+from .tasklib import BELONGS_TO_CASE, BINARY, NEGATIVE_LABEL, POSITIVE_LABEL, UNARY, TaskDefinition
 
 OUTCOME_OK = "Ok"
 OUTCOME_INCONSISTENT = "Inconsistent"
@@ -72,13 +72,8 @@ class Condition(enum.Enum):
 
 
 _CONDITION_ALIASES = {
-    "fs": Condition.FS,
-    "cot": Condition.COT,
-    "sd": Condition.SD,
-    "sd-comp": Condition.SD_COMP,
+    **{c.value.lower(): c for c in Condition},
     "sd-c": Condition.SD_COMP,
-    "sd-direct": Condition.SD_DIRECT,
-    "sd-direct-comp": Condition.SD_DIRECT_COMP,
     "sd-direct-c": Condition.SD_DIRECT_COMP,
 }
 
@@ -158,14 +153,6 @@ def snapshot_abox(abox: ABox) -> list[dict]:
     return triples
 
 
-def render_snapshot(snapshot: list[dict]) -> str:
-    lines = [
-        "\t".join((t["subject"], t["predicate"], t["object"], t["origin"]))
-        for t in snapshot
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 _TRIPLE_FIELDS = ("subject", "predicate", "object", "origin")
 
 
@@ -213,10 +200,10 @@ def _label(task: TaskDefinition, instance_id: str, result: InferenceResult) -> s
     """The positive label iff the chain is consistent and derives the target
     class for the instance's target entity."""
     if not result.consistent:
-        return task.negative_label
+        return NEGATIVE_LABEL
     target = mint_individual(instance_id, task.target_entity)
     positive = classify(result, target, task.target_class)
-    return task.positive_label if positive else task.negative_label
+    return POSITIVE_LABEL if positive else NEGATIVE_LABEL
 
 
 def replay_reasoning(task: TaskDefinition, trace: dict) -> tuple[str, bool]:
@@ -307,7 +294,7 @@ def evaluate_instance(
                 request = build_direct_prompt(task, entities, assertions, complementary, **prompt)
                 answer = ask(request, lambda data: parse_answer_response(data, task))
     except NotExtractable as exc:
-        trace.prediction, trace.outcome = task.negative_label, OUTCOME_NOT_EXTRACTABLE
+        trace.prediction, trace.outcome = NEGATIVE_LABEL, OUTCOME_NOT_EXTRACTABLE
         trace.error = str(exc)
         return trace
     except (BackendError, MalformedResponseError) as exc:

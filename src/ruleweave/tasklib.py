@@ -13,13 +13,16 @@ clinical_eligibility) as embedded resources under ``data/tasks/``.
 Every loaded task gets two reserved namespaces injected if absent: ``inst``
 for minted individuals and ``sd`` for the bookkeeping property
 ``sd:belongsToCase`` that links extracted entities to their source text.
+
+Datasets, prompts and scoring share one label pair, ``POSITIVE_LABEL``/
+``NEGATIVE_LABEL`` ("Yes"/"No"), so ``target.labels`` must be exactly that pair.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Optional
 
@@ -31,13 +34,15 @@ from .errors import (
     UnsafeRuleError,
 )
 from .ontology import Atom, ClassAtom, Iri, PropertyAtom, SwrlRule, TBox, Variable
-from .reasoner import subclass_closure
 
 SD_PREFIX = "sd"
 SD_URL = "http://example.org/sd#"
 INSTANCE_PREFIX = "inst"
 INSTANCE_URL = "http://example.org/instances#"
 BELONGS_TO_CASE = Iri(SD_PREFIX, "belongsToCase")
+
+POSITIVE_LABEL, NEGATIVE_LABEL = "Yes", "No"
+_LABELS = {"positive": POSITIVE_LABEL, "negative": NEGATIVE_LABEL}
 
 BUILTIN_TASK_IDS = ("hearsay", "method_application", "clinical_eligibility")
 
@@ -101,22 +106,7 @@ class TaskDefinition:
     assertion_specs: tuple[AssertionSpec, ...]
     target_class: Iri
     target_entity: str
-    label_map: dict[str, str] = field(default_factory=dict)
     notes: Optional[str] = None
-
-    @property
-    def positive_label(self) -> str:
-        return self.label_map["positive"]
-
-    @property
-    def negative_label(self) -> str:
-        return self.label_map["negative"]
-
-    def entity_spec(self, name: str) -> EntitySpec:
-        for spec in self.entity_specs:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
 
 
 # -- rule text -------------------------------------------------------------
@@ -431,7 +421,7 @@ def _check_populatable(
     assertion_specs: tuple[AssertionSpec, ...],
 ) -> None:
     """Reject rules containing an atom nothing in the task can ever assert."""
-    closure = subclass_closure(tbox)
+    closure = tbox.closure
     classes: set[Iri] = set()
     properties: set[Iri] = {BELONGS_TO_CASE}
     for entity in entity_specs:
@@ -502,14 +492,8 @@ def load_task(document: Any) -> TaskDefinition:
     target_entity = target.get("entity")
     if target_entity not in entity_names:
         raise _fail("target.entity", f"unknown entity {target_entity!r}")
-    labels = target.get("labels")
-    if (
-        not isinstance(labels, dict)
-        or set(labels) != {"positive", "negative"}
-        or not all(isinstance(v, str) and v for v in labels.values())
-        or labels["positive"] == labels["negative"]
-    ):
-        raise _fail("target.labels", "must map 'positive' and 'negative' to distinct strings")
+    if target.get("labels") != _LABELS:
+        raise _fail("target.labels", f"must be {json.dumps(_LABELS)}")
 
     notes = document.get("notes")
     if notes is not None and not isinstance(notes, str):
@@ -525,7 +509,6 @@ def load_task(document: Any) -> TaskDefinition:
         assertion_specs=assertion_specs,
         target_class=target_class,
         target_entity=target_entity,
-        label_map=dict(labels),
         notes=notes,
     )
 
@@ -589,7 +572,7 @@ def serialize_task(task: TaskDefinition) -> dict:
         "target": {
             "class": str(task.target_class),
             "entity": task.target_entity,
-            "labels": dict(task.label_map),
+            "labels": dict(_LABELS),
         },
     }
     if task.notes is not None:

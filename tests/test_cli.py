@@ -15,6 +15,7 @@ import pytest
 from ruleweave import cli
 from ruleweave.backends import BackendResponse
 from ruleweave.cli import main
+from ruleweave.tasklib import builtin_task_document
 
 HEARSAY_CLASS_QUERY = (
     "PREFIX h: <http://example.org/hearsay#> SELECT ?s WHERE { ?s a h:Hearsay . }"
@@ -65,6 +66,13 @@ def test_validate_rejects_broken_document(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["validate", "--task", str(path)])
     assert code == 2
     assert err.startswith("task error:")
+
+    document = builtin_task_document("hearsay")
+    document["target"]["labels"] = {"positive": "Hearsay", "negative": "NotHearsay"}
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["validate", "--task", str(path)])
+    assert code == 2
+    assert err.startswith("task error: target.labels")
 
 
 def test_export_round_trips_through_validate(capsys, tmp_path):

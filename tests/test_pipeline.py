@@ -17,7 +17,6 @@ from ruleweave.pipeline import (
     parse_condition,
     populate_abox,
     rebuild_asserted_abox,
-    render_snapshot,
     replay_reasoning,
     snapshot_abox,
 )
@@ -475,16 +474,6 @@ def test_snapshot_rebuild_round_trip(hearsay):
     abox = populate_abox(hearsay, "t1", entities, assertions)
     rebuilt = rebuild_asserted_abox(hearsay, snapshot_abox(abox))
     assert rebuilt == abox
-
-
-def test_render_snapshot_is_tab_separated(hearsay):
-    entities, assertions = extractions(hearsay)
-    abox = populate_abox(hearsay, "t1", entities, assertions)
-    text = render_snapshot(snapshot_abox(abox))
-    first = text.splitlines()[0].split("\t")
-    assert len(first) == 4
-    assert first[1] == "a"
-    assert first[3].startswith("asserted:")
 
 
 def test_replay_reasoning_reproduces_predictions(hearsay, eligibility):

@@ -110,8 +110,7 @@ def test_minimal_document_loads():
     task = load_task(MINIMAL_DOC)
     assert task.id == "demo"
     assert task.target_class == Iri("d", "Certified")
-    assert task.positive_label == "Yes"
-    assert task.entity_spec("Widget").required
+    assert [spec.required for spec in task.entity_specs] == [True, False]
 
 
 def test_reserved_namespaces_injected():
@@ -279,10 +278,14 @@ def test_target_class_must_have_a_concluding_rule():
 
 
 def test_target_labels_must_differ():
-    doc = copy.deepcopy(MINIMAL_DOC)
-    doc["target"]["labels"] = {"positive": "Yes", "negative": "Yes"}
-    with pytest.raises(TaskDocumentError, match="target.labels"):
-        load_task(doc)
+    for labels in (
+        {"positive": "Yes", "negative": "Yes"},
+        {"positive": "Hearsay", "negative": "NotHearsay"},
+    ):
+        doc = copy.deepcopy(MINIMAL_DOC)
+        doc["target"]["labels"] = labels
+        with pytest.raises(TaskDocumentError, match="target.labels"):
+            load_task(doc)
 
 
 def test_unpopulatable_rule_atom_rejected():
