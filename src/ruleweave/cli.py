@@ -3,7 +3,8 @@
 Five subcommands: validate (check a task document and optionally a dataset),
 run (evaluate a dataset under one or more conditions), report (aggregate trace
 files into tables), query (run a SELECT query over the ABox snapshots stored
-in a trace file), and export (print a task document).
+in a trace file), and export (validate a task document and print it as
+written).
 
 Exit codes: 0 success, 2 validation problem, 3 backend problem, 4 data problem.
 """
@@ -56,7 +57,6 @@ from .tasklib import (
     builtin_task,
     builtin_task_document,
     load_task,
-    serialize_task,
 )
 
 _NUMBER = ((int, float), "a number")
@@ -69,15 +69,17 @@ _CONFIG_TYPES = {
     "temperature": _NUMBER,
     "timeout": _NUMBER,
 }
+# keys whose value, when not null, must be greater than 0 (null rpm means no limit)
+_POSITIVE_KEYS = ("max_concurrency", "rpm", "timeout")
 
 _COMP_ON = {Condition.SD: Condition.SD_COMP, Condition.SD_DIRECT: Condition.SD_DIRECT_COMP}
 _COMP_OFF = {after: before for before, after in _COMP_ON.items()}
 
 
-def _resolve_task(value: str) -> TaskDefinition:
+def _task_document(value: str) -> dict:
     """A --task argument is a built-in id or a path to a task document."""
     if value in BUILTIN_TASK_IDS:
-        return builtin_task(value)
+        return builtin_task_document(value)
     path = Path(value)
     if not path.exists():
         raise ConfigError(
@@ -85,10 +87,9 @@ def _resolve_task(value: str) -> TaskDefinition:
             "nor an existing file"
         )
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise TaskDocumentError(f"{path}: invalid JSON ({exc.msg})") from exc
-    return load_task(document)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -107,6 +108,8 @@ def _load_config(path: Optional[str]) -> dict:
         types, expected = _CONFIG_TYPES[key]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"{path}: config key {key!r} must be {expected}, got {value!r}")
+        if key in _POSITIVE_KEYS and value is not None and not value > 0:
+            raise ConfigError(f"{path}: config key {key!r} must be greater than 0, got {value!r}")
     return raw
 
 
@@ -156,7 +159,7 @@ def _run_conditions(args) -> list[Condition]:
 
 
 def cmd_validate(args) -> int:
-    task = _resolve_task(args.task)
+    task = load_task(_task_document(args.task))
     print(
         f"task {task.id}: ok ({len(task.tbox.classes)} classes, "
         f"{len(task.tbox.rules)} rules, {len(task.assertion_specs)} assertion specs)"
@@ -171,7 +174,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    task = _resolve_task(args.task)
+    task = load_task(_task_document(args.task))
     if args.dataset:
         dataset = load_dataset(args.dataset)
     else:
@@ -263,7 +266,7 @@ def cmd_query(args) -> int:
 
     header, records = load_traces(args.trace)
     if args.task:
-        task = _resolve_task(args.task)
+        task = load_task(_task_document(args.task))
     elif header.get("task") in BUILTIN_TASK_IDS:
         task = builtin_task(header["task"])
     else:
@@ -290,10 +293,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if args.task in BUILTIN_TASK_IDS:
-        document = builtin_task_document(args.task)
-    else:
-        document = serialize_task(_resolve_task(args.task))
+    document = _task_document(args.task)
+    load_task(document)
     print(json.dumps(document, indent=2, ensure_ascii=False))
     return 0
 

@@ -437,7 +437,7 @@ def parse_assertion_response(
     return AssertionExtraction(records=tuple(records))
 
 
-def parse_answer_response(data, task: TaskDefinition) -> str:
+def parse_answer_response(data) -> str:
     if not isinstance(data, dict):
         raise MalformedResponseError("expected a JSON object with an answer")
     answer = data.get("answer")
@@ -451,11 +451,11 @@ def parse_answer_response(data, task: TaskDefinition) -> str:
     return answer
 
 
-def parse_cot_response(data, task: TaskDefinition) -> tuple[str, str]:
+def parse_cot_response(data) -> tuple[str, str]:
     if not isinstance(data, dict):
         raise MalformedResponseError("expected a JSON object")
     reasoning = _non_empty_string(data, "reasoning", "chain of thought")
-    return reasoning, parse_answer_response(data, task)
+    return reasoning, parse_answer_response(data)
 
 
 # -- request driving ----------------------------------------------------------

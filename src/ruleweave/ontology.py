@@ -312,20 +312,6 @@ class TBox:
         if not isinstance(iri, Iri):
             raise IriError(f"expected an Iri, got {type(iri).__name__}")
 
-    # -- equality (round-trip tests) ----------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TBox):
-            return NotImplemented
-        return (
-            self.prefixes == other.prefixes
-            and self.classes == other.classes
-            and self.properties == other.properties
-            and sorted(self.subclass_axioms) == sorted(other.subclass_axioms)
-            and sorted(self.disjoint_axioms) == sorted(other.disjoint_axioms)
-            and self.rules == other.rules
-        )
-
     def __repr__(self) -> str:
         return (
             f"TBox(classes={len(self.classes)}, properties={len(self.properties)}, "

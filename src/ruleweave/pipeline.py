@@ -120,13 +120,14 @@ def _extraction_to_dict(extraction: EntityExtraction | AssertionExtraction) -> d
 
 
 _ASSERTED = "asserted:"
+_INFERRED = "inferred:"
 
 
 def _origin_text(origin) -> str:
     if isinstance(origin, Asserted):
         return f"{_ASSERTED}{origin.justification}"
     assert isinstance(origin, Inferred)
-    return f"inferred:{origin.rule_name}"
+    return f"{_INFERRED}{origin.rule_name}"
 
 
 def snapshot_abox(abox: ABox) -> list[dict]:
@@ -175,19 +176,25 @@ def _snapshot_of(record: dict) -> list[dict]:
 
 
 def restore_abox(tbox: TBox, snapshot: Iterable[dict]) -> ABox:
-    """Assert snapshot triples through the validated ABox API, so a triple
-    naming an undeclared class or property raises. The justification is the
-    origin text without its "asserted:" prefix."""
+    """Rebuild an ABox from snapshot triples, keeping each triple's origin.
+    A triple naming an undeclared class or property raises. Asserted triples
+    go through the validated ABox API, justified by the origin text without
+    its "asserted:" prefix; inferred triples are inserted as the chainer
+    derived them, without domain or range checks."""
     abox = ABox(tbox)
     for triple in snapshot:
-        justification = triple["origin"].removeprefix(_ASSERTED)
+        origin = triple["origin"]
         subject = Iri.parse(triple["subject"])
         if triple["predicate"] == CLASS_PREDICATE:
-            abox.assert_class(subject, Iri.parse(triple["object"]), justification)
+            fact = (subject, Iri.parse(triple["object"]))
+            insert, validated = abox._insert_class, abox.assert_class
         else:
-            abox.assert_property(
-                subject, Iri.parse(triple["predicate"]), Iri.parse(triple["object"]), justification
-            )
+            fact = (subject, Iri.parse(triple["predicate"]), Iri.parse(triple["object"]))
+            insert, validated = abox._insert_property, abox.assert_property
+        if origin.startswith(_INFERRED):
+            insert(*fact, Inferred(origin.removeprefix(_INFERRED)))
+        else:
+            validated(*fact, origin.removeprefix(_ASSERTED))
     return abox
 
 
@@ -277,10 +284,10 @@ def evaluate_instance(
     try:
         if condition is Condition.COT:
             request = build_baseline_prompt(task, text, STEP_COT, exemplars or [], **prompt)
-            _, answer = ask(request, lambda data: parse_cot_response(data, task))
+            _, answer = ask(request, parse_cot_response)
         elif condition is Condition.FS:
             request = build_baseline_prompt(task, text, STEP_FS, exemplars or [], **prompt)
-            answer = ask(request, lambda data: parse_answer_response(data, task))
+            answer = ask(request, parse_answer_response)
         else:
             request = build_entity_prompt(task, text, **prompt)
             entities = ask(request, lambda data: parse_entity_response(data, task, instance_id))
@@ -292,7 +299,7 @@ def evaluate_instance(
             trace.assertion_extraction = _extraction_to_dict(assertions)
             if not condition.uses_reasoner:
                 request = build_direct_prompt(task, entities, assertions, complementary, **prompt)
-                answer = ask(request, lambda data: parse_answer_response(data, task))
+                answer = ask(request, parse_answer_response)
     except NotExtractable as exc:
         trace.prediction, trace.outcome = NEGATIVE_LABEL, OUTCOME_NOT_EXTRACTABLE
         trace.error = str(exc)

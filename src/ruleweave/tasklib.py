@@ -513,73 +513,6 @@ def load_task(document: Any) -> TaskDefinition:
     )
 
 
-def load_task_text(text: str) -> TaskDefinition:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TaskDocumentError(f"invalid JSON: {exc}") from exc
-    return load_task(document)
-
-
-def serialize_task(task: TaskDefinition) -> dict:
-    """Rebuild the JSON document form; round-trips through load_task."""
-    tbox = task.tbox
-    properties = []
-    for decl in tbox.properties.values():
-        entry: dict[str, str] = {"iri": str(decl.iri)}
-        if decl.domain is not None:
-            entry["domain"] = str(decl.domain)
-        if decl.range is not None:
-            entry["range"] = str(decl.range)
-        properties.append(entry)
-
-    assertions = []
-    for spec in task.assertion_specs:
-        entry = {
-            "name": spec.name,
-            "arity": spec.arity,
-            "maps_to": str(spec.maps_to),
-            "subject": spec.subject_entity,
-            "description": spec.description,
-        }
-        if spec.object_entity is not None:
-            entry["object"] = spec.object_entity
-        if spec.complement_of is not None:
-            entry["complement_of"] = spec.complement_of
-        if spec.negative:
-            entry["complement_role"] = "negative"
-        assertions.append(entry)
-
-    document = {
-        "id": task.id,
-        "context": task.domain_context,
-        "prefixes": dict(tbox.prefixes),
-        "classes": [str(c) for c in sorted(tbox.classes)],
-        "properties": properties,
-        "subclass": [[str(sub), str(super_)] for sub, super_ in tbox.subclass_axioms],
-        "disjoint": [[str(a), str(b)] for a, b in tbox.disjoint_axioms],
-        "rules": [{"name": rule.name, "text": str(rule)} for rule in tbox.rules],
-        "entities": [
-            {
-                "name": spec.name,
-                "class": str(spec.ontology_class),
-                "description": spec.description,
-                "required": spec.required,
-            }
-            for spec in task.entity_specs
-        ],
-        "assertions": assertions,
-        "target": {
-            "class": str(task.target_class),
-            "entity": task.target_entity,
-            "labels": dict(_LABELS),
-        },
-    }
-    if task.notes is not None:
-        document["notes"] = task.notes
-    return document
-
-
 def effective_assertion_specs(
     task: TaskDefinition, complementary: bool
 ) -> list[AssertionSpec]:

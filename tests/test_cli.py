@@ -74,18 +74,32 @@ def test_validate_rejects_broken_document(capsys, tmp_path):
     assert code == 2
     assert err.startswith("task error: target.labels")
 
+    path.write_text("{nope", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["validate", "--task", str(path)])
+    assert code == 2
+    assert err.startswith("task error:") and "invalid JSON" in err
+
 
 def test_export_round_trips_through_validate(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, ["export", "hearsay"])
+    code, exported, _ = run_cli(capsys, ["export", "hearsay"])
     assert code == 0
-    document = json.loads(out)
+    document = json.loads(exported)
     assert document["id"] == "hearsay"
 
     copy = tmp_path / "copy.json"
-    copy.write_text(out, encoding="utf-8")
+    copy.write_text(exported, encoding="utf-8")
     code, out, _ = run_cli(capsys, ["validate", "--task", str(copy)])
     assert code == 0
     assert "task hearsay: ok" in out
+
+    code, out, _ = run_cli(capsys, ["export", str(copy)])
+    assert code == 0
+    assert out == exported
+
+    copy.write_text('{"id": "broken"}', encoding="utf-8")
+    code, out, err = run_cli(capsys, ["export", str(copy)])
+    assert code == 2 and out == ""
+    assert err.startswith("task error:")
 
 
 # -- run -------------------------------------------------------------------------------
@@ -232,7 +246,14 @@ def test_run_missing_dataset_exits_4(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config, key", [({"rpm": "60"}, "rpm"), ({"max_concurrency": "four"}, "max_concurrency")]
+    "config, key",
+    [
+        ({"rpm": "60"}, "rpm"),
+        ({"max_concurrency": "four"}, "max_concurrency"),
+        ({"rpm": -1}, "rpm"),
+        ({"timeout": 0}, "timeout"),
+        ({"max_concurrency": 0}, "max_concurrency"),
+    ],
 )
 def test_run_config_value_of_wrong_type_exits_2(capsys, tmp_path, config, key):
     path = tmp_path / "config.json"

@@ -281,20 +281,20 @@ def test_parse_assertion_response_fills_skipped_specs(hearsay):
     assert len(extraction.records) == 4
 
 
-def test_parse_answer_response(hearsay):
-    assert parse_answer_response({"answer": "Yes"}, hearsay) == "Yes"
-    assert parse_answer_response({"answer": " No "}, hearsay) == "No"
+def test_parse_answer_response():
+    assert parse_answer_response({"answer": "Yes"}) == "Yes"
+    assert parse_answer_response({"answer": " No "}) == "No"
     with pytest.raises(MalformedResponseError):
-        parse_answer_response({"answer": "Maybe"}, hearsay)
+        parse_answer_response({"answer": "Maybe"})
     with pytest.raises(MalformedResponseError):
-        parse_answer_response(["Yes"], hearsay)
+        parse_answer_response(["Yes"])
 
 
-def test_parse_cot_response(hearsay):
-    reasoning, answer = parse_cot_response({"reasoning": "because", "answer": "No"}, hearsay)
+def test_parse_cot_response():
+    reasoning, answer = parse_cot_response({"reasoning": "because", "answer": "No"})
     assert (reasoning, answer) == ("because", "No")
     with pytest.raises(MalformedResponseError, match="reasoning"):
-        parse_cot_response({"answer": "No"}, hearsay)
+        parse_cot_response({"answer": "No"})
 
 
 # -- retry policy ---------------------------------------------------------------

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from ruleweave.backends import ScriptedBackend
 from ruleweave.errors import ConfigError
-from ruleweave.ontology import Iri
+from ruleweave.ontology import ABox, Iri, TBox
 from ruleweave.pipeline import (
     Condition,
     dump_traces,
@@ -18,11 +19,14 @@ from ruleweave.pipeline import (
     populate_abox,
     rebuild_asserted_abox,
     replay_reasoning,
+    restore_abox,
     snapshot_abox,
 )
 from ruleweave.extraction import parse_assertion_response, parse_entity_response
-from ruleweave.tasklib import BELONGS_TO_CASE, builtin_task
+from ruleweave.reasoner import forward_chain
+from ruleweave.tasklib import BELONGS_TO_CASE, builtin_task, parse_rule
 
+from .oracles import random_instance
 from .test_extraction import SAMPLE_TEXT, assertion_reply, entity_reply
 
 
@@ -474,6 +478,30 @@ def test_snapshot_rebuild_round_trip(hearsay):
     abox = populate_abox(hearsay, "t1", entities, assertions)
     rebuilt = rebuild_asserted_abox(hearsay, snapshot_abox(abox))
     assert rebuilt == abox
+
+
+def test_restore_keeps_inferred_origins_on_random_instances():
+    rng = random.Random(7)
+    for _ in range(200):
+        tbox, abox = random_instance(rng)
+        chained = forward_chain(tbox, abox).abox
+        assert restore_abox(tbox, snapshot_abox(chained)) == chained
+
+
+def test_restore_skips_domain_checks_on_inferred_triples():
+    tbox = TBox({"c": "http://example.org/c#"})
+    for name in ("A", "B"):
+        tbox.declare_class(Iri("c", name))
+    tbox.declare_property(Iri("c", "p"), domain=Iri("c", "A"))
+    tbox.declare_property(Iri("c", "q"))
+    tbox.add_rule(parse_rule("q_to_p", "c:q(?x, ?y) -> c:p(?x, ?y)"))
+    abox = ABox(tbox)
+    x, y = Iri("inst", "x"), Iri("inst", "y")
+    abox.assert_class(x, Iri("c", "B"), "x is a B")
+    abox.assert_property(x, Iri("c", "q"), y, "x q y")
+    chained = forward_chain(tbox, abox).abox
+    assert (x, Iri("c", "p"), y) in chained.property_assertions
+    assert restore_abox(tbox, snapshot_abox(chained)) == chained
 
 
 def test_replay_reasoning_reproduces_predictions(hearsay, eligibility):

@@ -16,9 +16,7 @@ from ruleweave.tasklib import (
     builtin_task_document,
     effective_assertion_specs,
     load_task,
-    load_task_text,
     parse_rule,
-    serialize_task,
 )
 
 MINIMAL_DOC = {
@@ -314,12 +312,6 @@ def test_unknown_prefix_in_class_list():
         load_task(doc)
 
 
-def test_load_task_text_rejects_bad_json():
-    with pytest.raises(TaskDocumentError, match="invalid JSON"):
-        load_task_text("{nope")
-    assert load_task_text(json.dumps(MINIMAL_DOC)).id == "demo"
-
-
 def test_task_definition_is_immutable():
     task = load_task(MINIMAL_DOC)
     with pytest.raises(AttributeError):
@@ -388,12 +380,6 @@ def test_hearsay_complement_pair_modes():
 def test_task_without_pairs_ignores_the_flag():
     task = load_task(MINIMAL_DOC)
     assert effective_assertion_specs(task, True) == effective_assertion_specs(task, False)
-
-
-def test_builtin_documents_round_trip():
-    for tid in BUILTIN_TASK_IDS:
-        task = builtin_task(tid)
-        assert load_task(serialize_task(task)) == task
 
 
 def test_builtin_document_export_is_plain_json():
