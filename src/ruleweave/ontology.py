@@ -131,12 +131,14 @@ class PropertyAtom:
 Atom = Union[ClassAtom, PropertyAtom]
 
 
-def atom_variables(atom: Atom) -> Iterator[Variable]:
+def atom_terms(atom: Atom) -> tuple[Term, ...]:
     if isinstance(atom, ClassAtom):
-        terms = (atom.term,)
-    else:
-        terms = (atom.subject, atom.object)
-    for term in terms:
+        return (atom.term,)
+    return (atom.subject, atom.object)
+
+
+def atom_variables(atom: Atom) -> Iterator[Variable]:
+    for term in atom_terms(atom):
         if isinstance(term, Variable):
             yield term
 
@@ -279,11 +281,7 @@ class TBox:
                     )
         self.rules.append(rule)
 
-    # -- queries over the hierarchy ----------------------------------------
-
-    def superclasses(self, cls: Iri) -> frozenset[Iri]:
-        """Reflexive-transitive superclass set of one class."""
-        return self.closure.get(cls, frozenset((cls,)))
+    # -- closing the hierarchy ----------------------------------------------
 
     def _close(self) -> None:
         direct: dict[Iri, list[Iri]] = {cls: [] for cls in self.classes}
@@ -444,12 +442,6 @@ class ABox:
         dup.by_subject = _copy_pair_map(self.by_subject)
         dup.by_object = _copy_pair_map(self.by_object)
         return dup
-
-    def sorted_class_assertions(self):
-        return sorted(self.class_assertions.items())
-
-    def sorted_property_assertions(self):
-        return sorted(self.property_assertions.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ABox):

@@ -43,7 +43,7 @@ from .extraction import (
     run_step,
 )
 from .ontology import ABox, Asserted, Inferred, Iri, TBox
-from .reasoner import InferenceResult, classify, forward_chain
+from .reasoner import classify, forward_chain
 from .tasklib import BELONGS_TO_CASE, BINARY, NEGATIVE_LABEL, POSITIVE_LABEL, UNARY, TaskDefinition
 
 OUTCOME_OK = "Ok"
@@ -133,7 +133,7 @@ def _origin_text(origin) -> str:
 def snapshot_abox(abox: ABox) -> list[dict]:
     """Flatten an ABox to origin-tagged triples, class assertions first."""
     triples = []
-    for (individual, cls), origin in abox.sorted_class_assertions():
+    for (individual, cls), origin in sorted(abox.class_assertions.items()):
         triples.append(
             {
                 "subject": str(individual),
@@ -142,7 +142,7 @@ def snapshot_abox(abox: ABox) -> list[dict]:
                 "origin": _origin_text(origin),
             }
         )
-    for (subject, prop, obj), origin in abox.sorted_property_assertions():
+    for (subject, prop, obj), origin in sorted(abox.property_assertions.items()):
         triples.append(
             {
                 "subject": str(subject),
@@ -155,12 +155,15 @@ def snapshot_abox(abox: ABox) -> list[dict]:
 
 
 _TRIPLE_FIELDS = ("subject", "predicate", "object", "origin")
+_ORIGIN_PREFIXES = (_ASSERTED, _INFERRED)
 
 
 def _snapshot_of(record: dict) -> list[dict]:
     """A trace record's ABox snapshot, empty when it has none. Raises
     ValueError naming the instance unless the snapshot is a list of objects
-    with string subject, predicate, object and origin."""
+    with string subject, predicate, object and origin, each origin of the
+    form "asserted:<justification>" or "inferred:<rule>" with a non-empty
+    remainder."""
     snapshot = record.get("abox_snapshot")
     if snapshot is None:
         return []
@@ -168,8 +171,11 @@ def _snapshot_of(record: dict) -> list[dict]:
     if not isinstance(snapshot, list):
         raise ValueError(f"instance {instance!r}: abox_snapshot is not a list")
     for triple in snapshot:
-        if not isinstance(triple, dict) or not all(
-            isinstance(triple.get(name), str) for name in _TRIPLE_FIELDS
+        if (
+            not isinstance(triple, dict)
+            or not all(isinstance(triple.get(name), str) for name in _TRIPLE_FIELDS)
+            or not triple["origin"].startswith(_ORIGIN_PREFIXES)
+            or triple["origin"] in _ORIGIN_PREFIXES
         ):
             raise ValueError(f"instance {instance!r}: malformed snapshot triple {triple!r}")
     return snapshot
@@ -196,31 +202,6 @@ def restore_abox(tbox: TBox, snapshot: Iterable[dict]) -> ABox:
         else:
             validated(*fact, origin.removeprefix(_ASSERTED))
     return abox
-
-
-def rebuild_asserted_abox(task: TaskDefinition, snapshot: list[dict]) -> ABox:
-    """Reconstruct the asserted portion of a snapshot against the task TBox."""
-    return restore_abox(task.tbox, (t for t in snapshot if t["origin"].startswith(_ASSERTED)))
-
-
-def _label(task: TaskDefinition, instance_id: str, result: InferenceResult) -> str:
-    """The positive label iff the chain is consistent and derives the target
-    class for the instance's target entity."""
-    if not result.consistent:
-        return NEGATIVE_LABEL
-    target = mint_individual(instance_id, task.target_entity)
-    positive = classify(result, target, task.target_class)
-    return POSITIVE_LABEL if positive else NEGATIVE_LABEL
-
-
-def replay_reasoning(task: TaskDefinition, trace: dict) -> tuple[str, bool]:
-    """Re-run only the reasoner over a trace's asserted facts.
-
-    Returns (prediction, consistent); prediction must equal the stored one
-    for SD traces, since the symbolic half is deterministic.
-    """
-    result = forward_chain(task.tbox, rebuild_asserted_abox(task, trace["abox_snapshot"]))
-    return _label(task, trace["instance_id"], result), result.consistent
 
 
 # -- ABox population ------------------------------------------------------------
@@ -317,7 +298,9 @@ def evaluate_instance(
         {"rule": name, "binding": {var: str(value) for var, value in binding.items()}}
         for name, binding in result.fired
     ]
-    trace.prediction = _label(task, instance_id, result)
+    target = mint_individual(instance_id, task.target_entity)
+    positive = result.consistent and classify(result, target, task.target_class)
+    trace.prediction = POSITIVE_LABEL if positive else NEGATIVE_LABEL
     if not result.consistent:
         trace.outcome = OUTCOME_INCONSISTENT
         trace.error = "; ".join(

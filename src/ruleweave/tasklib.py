@@ -33,7 +33,7 @@ from .errors import (
     TaskDocumentError,
     UnsafeRuleError,
 )
-from .ontology import Atom, ClassAtom, Iri, PropertyAtom, SwrlRule, TBox, Variable
+from .ontology import Atom, ClassAtom, Iri, PropertyAtom, SwrlRule, TBox, Variable, atom_terms
 
 SD_PREFIX = "sd"
 SD_URL = "http://example.org/sd#"
@@ -273,7 +273,7 @@ def _load_tbox(doc: dict, prefixes: dict[str, str]) -> TBox:
         try:
             rule = parse_rule(name, item["text"])
             for atom in (*rule.antecedent, rule.consequent):
-                for term in _atom_terms(atom):
+                for term in atom_terms(atom):
                     if isinstance(term, Iri) and term.prefix not in prefixes:
                         raise _fail(f"{path}.text", f"unknown prefix in term {term}")
             tbox.add_rule(rule)
@@ -282,12 +282,6 @@ def _load_tbox(doc: dict, prefixes: dict[str, str]) -> TBox:
                 raise
             raise _fail(path, str(exc)) from exc
     return tbox
-
-
-def _atom_terms(atom: Atom):
-    if isinstance(atom, ClassAtom):
-        return (atom.term,)
-    return (atom.subject, atom.object)
 
 
 def _load_entities(doc: dict, tbox: TBox, prefixes: dict[str, str]) -> tuple[EntitySpec, ...]:

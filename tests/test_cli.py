@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -469,8 +470,19 @@ _TRIPLE = {"subject": "inst:t01_s", "predicate": "a", "object": "h:Hearsay", "or
         ("not a list", "abox_snapshot is not a list"),
         ([_TRIPLE, [1, 2]], "malformed snapshot triple [1, 2]"),
         ([{**_TRIPLE, "subject": 7}], "malformed snapshot triple"),
+        ([{**_TRIPLE, "origin": "bogus"}], "malformed snapshot triple"),
+        ([{**_TRIPLE, "origin": "asserted:"}], "malformed snapshot triple"),
+        ([{**_TRIPLE, "origin": "inferred:"}], "malformed snapshot triple"),
     ],
-    ids=["triple-without-origin", "string-snapshot", "non-object-triple", "subject-not-a-string"],
+    ids=[
+        "triple-without-origin",
+        "string-snapshot",
+        "non-object-triple",
+        "subject-not-a-string",
+        "origin-of-no-kind",
+        "asserted-without-justification",
+        "inferred-without-rule",
+    ],
 )
 def test_malformed_snapshot_exits_4(capsys, tmp_path, snapshot, message):
     path = tmp_path / "traces.jsonl"
@@ -480,3 +492,45 @@ def test_malformed_snapshot_exits_4(capsys, tmp_path, snapshot, message):
     assert code == 4
     assert err.startswith("data error: instance 't01': ")
     assert message in err
+
+
+# Replacement values for one field of one snapshot triple: empty, malformed
+# and undeclared names, origins of neither valid form, two valid origins,
+# and JSON values that are not strings.
+_JUNK = [
+    "", ":", "::", "a:b:c", "h:Nope", "inst:", "a", "bogus",
+    "asserted", "inferred", "Asserted:j", "asserted:", "inferred:",
+    "asserted:j", "inferred:r",
+    7, 0.5, None, True, [], {},
+]  # fmt: skip
+_ORIGIN_PREFIXES = ("asserted:", "inferred:")
+
+
+def _valid_origin(value) -> bool:
+    return (
+        isinstance(value, str)
+        and value.startswith(_ORIGIN_PREFIXES)
+        and value not in _ORIGIN_PREFIXES
+    )
+
+
+def test_query_over_corrupted_snapshots_never_raises(capsys, tmp_path):
+    code, _, _ = run_hearsay(capsys, tmp_path / "run", "--condition", "SD-Comp")
+    assert code == 0
+    source = tmp_path / "run" / "hearsay" / "SD-Comp" / "scripted" / "traces.jsonl"
+    lines = [json.loads(line) for line in source.read_text(encoding="utf-8").splitlines()]
+    with_snapshot = [i for i, line in enumerate(lines) if line.get("abox_snapshot")]
+    path = tmp_path / "corrupt.jsonl"
+    rng = random.Random(20261018)
+    for _ in range(300):
+        corrupt = json.loads(json.dumps(lines))
+        snapshot = corrupt[rng.choice(with_snapshot)]["abox_snapshot"]
+        triple = rng.choice(snapshot)
+        name = rng.choice(["subject", "predicate", "object", "origin"])
+        triple[name] = rng.choice(_JUNK)
+        path.write_text("".join(json.dumps(line) + "\n" for line in corrupt), encoding="utf-8")
+        argv = ["query", "--trace", str(path), "--query", HEARSAY_CLASS_QUERY]
+        code, _, err = run_cli(capsys, argv)
+        assert code in (0, 2, 4), (triple, err)
+        if name == "origin" and not _valid_origin(triple[name]):
+            assert code == 4, (triple, err)

@@ -144,7 +144,7 @@ def test_subclass_accepted():
     tbox = make_tbox()
     tbox.add_subclass(H_HEARSAY, H_STATEMENT)
     assert (H_HEARSAY, H_STATEMENT) in tbox.subclass_axioms
-    assert tbox.superclasses(H_HEARSAY) == {H_HEARSAY, H_STATEMENT}
+    assert tbox.closure[H_HEARSAY] == {H_HEARSAY, H_STATEMENT}
 
 
 def test_subclass_requires_declared_classes():
@@ -188,11 +188,11 @@ def test_disjoint_rejects_ancestor():
 def test_subclass_that_contradicts_disjoint_is_rolled_back():
     tbox = make_tbox()
     tbox.add_disjoint(H_HEARSAY, H_STATEMENT)
-    before = tbox.superclasses(H_HEARSAY)
+    before = tbox.closure[H_HEARSAY]
     with pytest.raises(DisjointnessError):
         tbox.add_subclass(H_HEARSAY, H_STATEMENT)
     assert (H_HEARSAY, H_STATEMENT) not in tbox.subclass_axioms
-    assert tbox.superclasses(H_HEARSAY) == before == {H_HEARSAY}
+    assert tbox.closure[H_HEARSAY] == before == {H_HEARSAY}
 
 
 def test_declare_property_checks_domain_declared():

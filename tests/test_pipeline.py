@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+from importlib import resources
 
 import pytest
 
 from ruleweave.backends import ScriptedBackend
 from ruleweave.errors import ConfigError
+from ruleweave.evaluation import builtin_dataset, run_condition
 from ruleweave.ontology import ABox, Iri, TBox
 from ruleweave.pipeline import (
     Condition,
@@ -17,14 +19,23 @@ from ruleweave.pipeline import (
     load_traces,
     parse_condition,
     populate_abox,
-    rebuild_asserted_abox,
-    replay_reasoning,
     restore_abox,
     snapshot_abox,
 )
-from ruleweave.extraction import parse_assertion_response, parse_entity_response
-from ruleweave.reasoner import forward_chain
-from ruleweave.tasklib import BELONGS_TO_CASE, builtin_task, parse_rule
+from ruleweave.extraction import (
+    mint_individual,
+    parse_assertion_response,
+    parse_entity_response,
+)
+from ruleweave.reasoner import classify, forward_chain
+from ruleweave.tasklib import (
+    BELONGS_TO_CASE,
+    BUILTIN_TASK_IDS,
+    NEGATIVE_LABEL,
+    POSITIVE_LABEL,
+    builtin_task,
+    parse_rule,
+)
 
 from .oracles import random_instance
 from .test_extraction import SAMPLE_TEXT, assertion_reply, entity_reply
@@ -476,7 +487,7 @@ def test_populate_abox_asserts_spec_facts(hearsay):
 def test_snapshot_rebuild_round_trip(hearsay):
     entities, assertions = extractions(hearsay)
     abox = populate_abox(hearsay, "t1", entities, assertions)
-    rebuilt = rebuild_asserted_abox(hearsay, snapshot_abox(abox))
+    rebuilt = restore_abox(hearsay.tbox, snapshot_abox(abox))
     assert rebuilt == abox
 
 
@@ -504,7 +515,25 @@ def test_restore_skips_domain_checks_on_inferred_triples():
     assert restore_abox(tbox, snapshot_abox(chained)) == chained
 
 
-def test_replay_reasoning_reproduces_predictions(hearsay, eligibility):
+def assert_rechains(task, trace: dict) -> None:
+    """Restoring only a trace's asserted triples and chaining them again
+    gives back its snapshot, its fired list, its consistency and, through
+    classify on the minted target, its prediction."""
+    asserted = [t for t in trace["abox_snapshot"] if t["origin"].startswith("asserted:")]
+    result = forward_chain(task.tbox, restore_abox(task.tbox, asserted))
+    assert snapshot_abox(result.abox) == trace["abox_snapshot"]
+    fired = [
+        {"rule": name, "binding": {var: str(value) for var, value in binding.items()}}
+        for name, binding in result.fired
+    ]
+    assert fired == trace["fired"]
+    assert result.consistent == (trace["outcome"] != "Inconsistent")
+    target = mint_individual(trace["instance_id"], task.target_entity)
+    positive = result.consistent and classify(result, target, task.target_class)
+    assert (POSITIVE_LABEL if positive else NEGATIVE_LABEL) == trace["prediction"]
+
+
+def test_rechaining_asserted_triples_reproduces_the_trace(hearsay):
     cases = [
         (
             hearsay,
@@ -538,9 +567,24 @@ def test_replay_reasoning_reproduces_predictions(hearsay, eligibility):
         ),
     ]
     for task, trace in cases:
-        prediction, consistent = replay_reasoning(task, trace.to_dict())
-        assert prediction == trace.prediction
-        assert consistent == (trace.outcome != "Inconsistent")
+        assert_rechains(task, trace.to_dict())
+
+
+def test_every_scripted_grid_trace_rechains(tmp_path):
+    checked = 0
+    for task_id in BUILTIN_TASK_IDS:
+        task = builtin_task(task_id)
+        replay = resources.files("ruleweave").joinpath(f"data/replay/{task_id}.replay.json")
+        backend = ScriptedBackend.from_file(str(replay))
+        for condition in (Condition.SD, Condition.SD_COMP):
+            run = run_condition(
+                task, builtin_dataset(task_id), condition, backend, out_dir=tmp_path
+            )
+            _, records = load_traces(run.trace_path)
+            for record in records:
+                assert_rechains(task, record)
+                checked += 1
+    assert checked == 60
 
 
 # -- world isolation and trace files ----------------------------------------------
