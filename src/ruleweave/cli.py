@@ -136,13 +136,9 @@ def _build_backend(args, task: TaskDefinition, config: dict) -> tuple[Backend, s
         endpoint = args.endpoint or config.get("endpoint")
         if not endpoint:
             raise ConfigError("http backend needs an endpoint (--endpoint or config file)")
-        backend = HttpBackend(
-            endpoint=endpoint,
-            model=model,
-            timeout=float(config.get("timeout", 120.0)),
-            max_concurrency=int(config.get("max_concurrency", 4)),
-            rpm=config.get("rpm"),
-        )
+        # Only the keys the config sets; HttpBackend supplies the defaults.
+        limits = {key: config[key] for key in ("timeout", "max_concurrency", "rpm") if key in config}
+        backend = HttpBackend(endpoint=endpoint, model=model, **limits)
     return backend, model
 
 

@@ -211,8 +211,8 @@ class TBox:
         self.subclass_axioms: list[tuple[Iri, Iri]] = []
         self.disjoint_axioms: list[tuple[Iri, Iri]] = []
         self.rules: list[SwrlRule] = []
-        # Reflexive-transitive superclass map. Rebuilt whole and swapped in
-        # by every mutation, so reads never write and need no lock.
+        # Reflexive-transitive superclass map, swapped in whole only after a
+        # mutation's checks pass, so reads never write and need no lock.
         self.closure: dict[Iri, frozenset[Iri]] = {}
 
     # -- declarations ------------------------------------------------------
@@ -220,7 +220,7 @@ class TBox:
     def declare_class(self, iri: Iri) -> None:
         self._require_iri(iri)
         self.classes.add(iri)
-        self._close()
+        self.closure = _close(self.classes, self.subclass_axioms)
 
     def declare_property(
         self,
@@ -245,14 +245,10 @@ class TBox:
         edge = (sub, super_)
         if edge in self.subclass_axioms:
             return
+        closure = _close(self.classes, [*self.subclass_axioms, edge])
+        _check_disjoint_axioms(self.disjoint_axioms, closure)
         self.subclass_axioms.append(edge)
-        self._close()
-        try:
-            self._check_disjoint_axioms()
-        except DisjointnessError:
-            self.subclass_axioms.remove(edge)
-            self._close()
-            raise
+        self.closure = closure
 
     def add_disjoint(self, a: Iri, b: Iri) -> None:
         for c in (a, b):
@@ -261,13 +257,9 @@ class TBox:
         if a == b:
             raise DisjointnessError(f"{a} cannot be disjoint with itself")
         pair = (a, b) if a <= b else (b, a)
+        _check_disjoint_axioms([pair], self.closure)
         if pair not in self.disjoint_axioms:
             self.disjoint_axioms.append(pair)
-        try:
-            self._check_disjoint_axioms()
-        except DisjointnessError:
-            self.disjoint_axioms.remove(pair)
-            raise
 
     def add_rule(self, rule: SwrlRule) -> None:
         for atom in (*rule.antecedent, rule.consequent):
@@ -281,31 +273,6 @@ class TBox:
                     )
         self.rules.append(rule)
 
-    # -- closing the hierarchy ----------------------------------------------
-
-    def _close(self) -> None:
-        direct: dict[Iri, list[Iri]] = {cls: [] for cls in self.classes}
-        for sub, sup in self.subclass_axioms:
-            direct[sub].append(sup)
-        closure: dict[Iri, frozenset[Iri]] = {}
-        for cls in self.classes:
-            seen = {cls}
-            frontier = [cls]
-            while frontier:
-                for sup in direct[frontier.pop()]:
-                    if sup not in seen:
-                        seen.add(sup)
-                        frontier.append(sup)
-            closure[cls] = frozenset(seen)
-        self.closure = closure
-
-    def _check_disjoint_axioms(self) -> None:
-        for a, b in self.disjoint_axioms:
-            if b in self.closure[a] or a in self.closure[b]:
-                raise DisjointnessError(
-                    f"disjoint({a}, {b}) contradicts the subclass hierarchy"
-                )
-
     def _require_iri(self, iri: Iri) -> None:
         if not isinstance(iri, Iri):
             raise IriError(f"expected an Iri, got {type(iri).__name__}")
@@ -315,6 +282,30 @@ class TBox:
             f"TBox(classes={len(self.classes)}, properties={len(self.properties)}, "
             f"rules={len(self.rules)})"
         )
+
+
+def _close(classes: set[Iri], subclass_axioms: list[tuple[Iri, Iri]]) -> dict[Iri, frozenset[Iri]]:
+    """The reflexive-transitive superclass map of the given hierarchy."""
+    direct: dict[Iri, list[Iri]] = {cls: [] for cls in classes}
+    for sub, sup in subclass_axioms:
+        direct[sub].append(sup)
+    closure: dict[Iri, frozenset[Iri]] = {}
+    for cls in classes:
+        seen = {cls}
+        frontier = [cls]
+        while frontier:
+            for sup in direct[frontier.pop()]:
+                if sup not in seen:
+                    seen.add(sup)
+                    frontier.append(sup)
+        closure[cls] = frozenset(seen)
+    return closure
+
+
+def _check_disjoint_axioms(pairs: list[tuple[Iri, Iri]], closure: dict[Iri, frozenset[Iri]]) -> None:
+    for a, b in pairs:
+        if b in closure[a] or a in closure[b]:
+            raise DisjointnessError(f"disjoint({a}, {b}) contradicts the subclass hierarchy")
 
 
 # property -> bound term -> the terms on the other side of the pair
@@ -365,8 +356,6 @@ class ABox:
     # -- public, validated entry points -------------------------------------
 
     def assert_class(self, individual: Iri, cls: Iri, justification: str) -> None:
-        if cls not in self.tbox.classes:
-            raise UndeclaredError(f"class {cls} not declared in TBox")
         self._insert_class(individual, cls, Asserted(justification))
 
     def assert_property(

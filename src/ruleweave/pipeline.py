@@ -132,26 +132,13 @@ def _origin_text(origin) -> str:
 
 def snapshot_abox(abox: ABox) -> list[dict]:
     """Flatten an ABox to origin-tagged triples, class assertions first."""
-    triples = []
-    for (individual, cls), origin in sorted(abox.class_assertions.items()):
-        triples.append(
-            {
-                "subject": str(individual),
-                "predicate": CLASS_PREDICATE,
-                "object": str(cls),
-                "origin": _origin_text(origin),
-            }
-        )
-    for (subject, prop, obj), origin in sorted(abox.property_assertions.items()):
-        triples.append(
-            {
-                "subject": str(subject),
-                "predicate": str(prop),
-                "object": str(obj),
-                "origin": _origin_text(origin),
-            }
-        )
-    return triples
+    classes = sorted(abox.class_assertions.items())
+    facts = [((individual, CLASS_PREDICATE, cls), origin) for (individual, cls), origin in classes]
+    facts += sorted(abox.property_assertions.items())
+    return [
+        {"subject": str(s), "predicate": str(p), "object": str(o), "origin": _origin_text(origin)}
+        for (s, p, o), origin in facts
+    ]
 
 
 _TRIPLE_FIELDS = ("subject", "predicate", "object", "origin")
@@ -183,13 +170,16 @@ def _snapshot_of(record: dict) -> list[dict]:
 
 def restore_abox(tbox: TBox, snapshot: Iterable[dict]) -> ABox:
     """Rebuild an ABox from snapshot triples, keeping each triple's origin.
-    A triple naming an undeclared class or property raises. Asserted triples
-    go through the validated ABox API, justified by the origin text without
-    its "asserted:" prefix; inferred triples are inserted as the chainer
-    derived them, without domain or range checks."""
+    An origin of neither form "asserted:<justification>" nor "inferred:<rule>"
+    raises ValueError, and an undeclared class or property raises, before the
+    triple is inserted. Asserted triples go through the validated ABox API;
+    inferred ones are inserted as derived, with no domain or range check."""
     abox = ABox(tbox)
     for triple in snapshot:
-        origin = triple["origin"]
+        head, _, text = triple["origin"].partition(":")
+        kind = f"{head}:"
+        if kind not in _ORIGIN_PREFIXES or not text:
+            raise ValueError(f"malformed snapshot triple {triple!r}")
         subject = Iri.parse(triple["subject"])
         if triple["predicate"] == CLASS_PREDICATE:
             fact = (subject, Iri.parse(triple["object"]))
@@ -197,10 +187,10 @@ def restore_abox(tbox: TBox, snapshot: Iterable[dict]) -> ABox:
         else:
             fact = (subject, Iri.parse(triple["predicate"]), Iri.parse(triple["object"]))
             insert, validated = abox._insert_property, abox.assert_property
-        if origin.startswith(_INFERRED):
-            insert(*fact, Inferred(origin.removeprefix(_INFERRED)))
+        if kind == _INFERRED:
+            insert(*fact, Inferred(text))
         else:
-            validated(*fact, origin.removeprefix(_ASSERTED))
+            validated(*fact, text)
     return abox
 
 
@@ -220,15 +210,8 @@ def populate_abox(
         record = entities.get(spec.name)
         if record.found:
             abox.assert_class(record.individual, spec.ontology_class, record.explanation)
-    for spec in task.entity_specs:
-        record = entities.get(spec.name)
-        if record.found:
-            abox.assert_property(
-                record.individual,
-                BELONGS_TO_CASE,
-                case,
-                f"entity {spec.name} extracted from instance {instance_id}",
-            )
+            note = f"entity {spec.name} extracted from instance {instance_id}"
+            abox.assert_property(record.individual, BELONGS_TO_CASE, case, note)
     for record in assertions.records:
         if not record.holds:
             continue

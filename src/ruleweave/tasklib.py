@@ -234,9 +234,12 @@ def _load_tbox(doc: dict, prefixes: dict[str, str]) -> TBox:
             for side in ("domain", "range")
             if item.get(side) is not None
         }
+        iri = _parse_name(item["iri"], prefixes, f"{path}.iri")
+        if iri == BELONGS_TO_CASE and endpoints:
+            raise _fail(path, f"{iri} is reserved and takes no domain or range")
         try:
             tbox.declare_property(
-                _parse_name(item["iri"], prefixes, f"{path}.iri"),
+                iri,
                 domain=endpoints.get("domain"),
                 range=endpoints.get("range"),
             )
@@ -317,7 +320,7 @@ def _load_assertions(
     doc: dict,
     tbox: TBox,
     prefixes: dict[str, str],
-    entity_names: set[str],
+    entity_classes: dict[str, Iri],
 ) -> tuple[AssertionSpec, ...]:
     raw = doc.get("assertions")
     if not isinstance(raw, list) or not raw:
@@ -354,12 +357,19 @@ def _load_assertions(
         if arity == BINARY and maps_to not in tbox.properties:
             raise _fail(f"{path}.maps_to", f"binary spec needs a declared property, got {maps_to}")
         subject = _string(item, "subject", path)
-        if subject not in entity_names:
+        if subject not in entity_classes:
             raise _fail(f"{path}.subject", f"unknown entity {subject!r}")
         object_entity = item.get("object")
         if arity == BINARY:
-            if not isinstance(object_entity, str) or object_entity not in entity_names:
+            if not isinstance(object_entity, str) or object_entity not in entity_classes:
                 raise _fail(f"{path}.object", "binary spec must name a declared entity")
+            # The one class population guarantees an entity is its own, so a
+            # domain or range outside that class's closure could be broken.
+            for side, entity in (("domain", subject), ("range", object_entity)):
+                endpoint, cls = getattr(tbox.properties[maps_to], side), entity_classes[entity]
+                if endpoint is not None and endpoint not in tbox.closure[cls]:
+                    raise _fail(f"{path}.maps_to", f"{side} {endpoint} of {maps_to} is not {cls}, "
+                                f"the class of entity {entity!r}, or one of its superclasses")
         elif object_entity is not None:
             raise _fail(f"{path}.object", "unary spec must not name an object entity")
         role = item.get("complement_role")
@@ -469,8 +479,8 @@ def load_task(document: Any) -> TaskDefinition:
     prefixes = _load_prefixes(document)
     tbox = _load_tbox(document, prefixes)
     entity_specs = _load_entities(document, tbox, prefixes)
-    entity_names = {spec.name for spec in entity_specs}
-    assertion_specs = _load_assertions(document, tbox, prefixes, entity_names)
+    entity_classes = {spec.name: spec.ontology_class for spec in entity_specs}
+    assertion_specs = _load_assertions(document, tbox, prefixes, entity_classes)
 
     target = document.get("target")
     if not isinstance(target, dict) or set(target) != {"class", "entity", "labels"}:
@@ -484,7 +494,7 @@ def load_task(document: Any) -> TaskDefinition:
     ):
         raise _fail("target.class", f"no rule concludes {target_class}")
     target_entity = target.get("entity")
-    if target_entity not in entity_names:
+    if target_entity not in entity_classes:
         raise _fail("target.entity", f"unknown entity {target_entity!r}")
     if target.get("labels") != _LABELS:
         raise _fail("target.labels", f"must be {json.dumps(_LABELS)}")

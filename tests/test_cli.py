@@ -81,6 +81,16 @@ def test_validate_rejects_broken_document(capsys, tmp_path):
     assert err.startswith("task error:") and "invalid JSON" in err
 
 
+def test_validate_rejects_a_binary_spec_whose_subject_breaks_the_domain(capsys, tmp_path):
+    document = builtin_task_document("hearsay")
+    document["properties"][0]["domain"] = "h:OutOfCourtStatement"
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["validate", "--task", str(path)])
+    assert code == 2
+    assert err.startswith("task error: assertions[2].maps_to")
+
+
 def test_export_round_trips_through_validate(capsys, tmp_path):
     code, exported, _ = run_cli(capsys, ["export", "hearsay"])
     assert code == 0

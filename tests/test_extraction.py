@@ -13,6 +13,7 @@ from ruleweave.backends import (
     ChatRequest,
     HttpBackend,
     ScriptedBackend,
+    _RateLimiter,
     parse_json_payload,
 )
 from ruleweave.errors import MalformedResponseError, NotExtractable
@@ -519,3 +520,47 @@ def test_http_backend_client_error_is_fatal(monkeypatch):
     backend = HttpBackend("https://api.example/v1/chat", "m", api_key="k")
     with pytest.raises(BackendError, match="HTTP 400"):
         backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
+
+
+def test_rate_limiter_sleeps_until_the_oldest_stamp_is_a_minute_old(monkeypatch):
+    clock = [100.0]
+    sleeps = []
+
+    def fake_sleep(seconds):
+        sleeps.append(seconds)
+        clock[0] += seconds
+
+    monkeypatch.setattr("time.monotonic", lambda: clock[0])
+    monkeypatch.setattr("time.sleep", fake_sleep)
+    limiter = _RateLimiter(2)
+    limiter.wait()
+    clock[0] += 10.0
+    limiter.wait()
+    clock[0] += 5.0
+    limiter.wait()
+    assert sleeps == [45.0]
+    assert list(limiter._stamps) == [110.0, 160.0]
+
+
+def test_http_backend_transport_error_is_a_backend_error(monkeypatch):
+    import requests
+
+    def refuse(*a, **k):
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(requests, "post", refuse)
+    backend = HttpBackend("https://api.example/v1/chat", "m", api_key="k")
+    with pytest.raises(BackendError, match="request to https://api.example/v1/chat failed"):
+        backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
+
+
+def test_http_backend_gives_up_after_three_server_errors(monkeypatch):
+    import requests
+
+    sleeps = []
+    monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeReply(503, text="busy"))
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    backend = HttpBackend("https://api.example/v1/chat", "m", api_key="k")
+    with pytest.raises(BackendError, match=r"gave up after 3 attempts \(HTTP 503\)"):
+        backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
+    assert sleeps == [1, 2, 4]

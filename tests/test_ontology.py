@@ -183,15 +183,19 @@ def test_disjoint_rejects_ancestor():
     tbox.add_subclass(H_HEARSAY, H_STATEMENT)
     with pytest.raises(DisjointnessError):
         tbox.add_disjoint(H_HEARSAY, H_STATEMENT)
+    assert tbox.disjoint_axioms == []
 
 
 def test_subclass_that_contradicts_disjoint_is_rolled_back():
     tbox = make_tbox()
     tbox.add_disjoint(H_HEARSAY, H_STATEMENT)
+    closure = tbox.closure
     before = tbox.closure[H_HEARSAY]
     with pytest.raises(DisjointnessError):
         tbox.add_subclass(H_HEARSAY, H_STATEMENT)
     assert (H_HEARSAY, H_STATEMENT) not in tbox.subclass_axioms
+    # The rejected axiom never reached the published map: it is not rebuilt.
+    assert tbox.closure is closure
     assert tbox.closure[H_HEARSAY] == before == {H_HEARSAY}
 
 

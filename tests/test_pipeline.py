@@ -515,6 +515,13 @@ def test_restore_skips_domain_checks_on_inferred_triples():
     assert restore_abox(tbox, snapshot_abox(chained)) == chained
 
 
+@pytest.mark.parametrize("origin", ["bogus", "inferred:", "asserted:", ""])
+def test_restore_rejects_an_origin_of_neither_form(hearsay, origin):
+    triple = {"subject": "inst:t1_Statement", "predicate": "a", "object": "h:Statement"}
+    with pytest.raises(ValueError, match="malformed snapshot triple"):
+        restore_abox(hearsay.tbox, [{**triple, "origin": origin}])
+
+
 def assert_rechains(task, trace: dict) -> None:
     """Restoring only a trace's asserted triples and chaining them again
     gives back its snapshot, its fired list, its consistency and, through

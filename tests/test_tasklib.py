@@ -203,6 +203,39 @@ def test_unary_maps_to_must_be_a_class():
         load_task(doc)
 
 
+def _hearsay_with(edit):
+    document = builtin_task_document("hearsay")
+    edit(document)
+    return document
+
+
+def _domain_outside_subject_class(document):
+    document["properties"][0]["domain"] = "h:OutOfCourtStatement"
+
+
+def _range_outside_object_class(document):
+    document["properties"][1]["range"] = "h:Assertion"
+
+
+def _belongs_to_case_with_domain(document):
+    document["properties"].append({"iri": "sd:belongsToCase", "domain": "h:Statement"})
+
+
+# Each edit would let ABox population break a domain or range in the middle
+# of a run, so loading the document must reject it instead.
+UNPOPULATABLE_DOCS = [
+    (_domain_outside_subject_class, "assertions\\[2\\].maps_to: domain h:OutOfCourtStatement"),
+    (_range_outside_object_class, "assertions\\[3\\].maps_to: range h:Assertion"),
+    (_belongs_to_case_with_domain, "properties\\[3\\]: sd:belongsToCase is reserved"),
+]
+
+
+@pytest.mark.parametrize("edit, message", UNPOPULATABLE_DOCS, ids=["domain", "range", "reserved"])
+def test_population_that_breaks_a_domain_or_range_is_a_task_error(edit, message):
+    with pytest.raises(TaskDocumentError, match=message):
+        load_task(_hearsay_with(edit))
+
+
 def complemented_doc():
     doc = copy.deepcopy(MINIMAL_DOC)
     doc["properties"].append(
