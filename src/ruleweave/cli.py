@@ -48,7 +48,6 @@ from .pipeline import (
     load_traces,
     parse_condition,
     restore_abox,
-    _snapshot_of,
 )
 from .query import execute, format_tsv, parse_query
 from .tasklib import (
@@ -274,15 +273,26 @@ def cmd_query(args) -> int:
     if unknown:
         raise DatasetError(f"instance {sorted(unknown)[0]!r} not present in {args.trace}")
 
-    snapshots = [
-        _snapshot_of(record) for record in records if not wanted or record["instance_id"] in wanted
-    ]
-    if not any(snapshots):
+    instance = None
+
+    def triples():  # in file order; `instance` names the record being read
+        nonlocal instance
+        for record in records:
+            instance, snapshot = record["instance_id"], record.get("abox_snapshot")
+            if snapshot is not None and (not wanted or instance in wanted):
+                if not isinstance(snapshot, list):
+                    raise ValueError("abox_snapshot is not a list")
+                yield from snapshot
+
+    try:
+        abox = restore_abox(task.tbox, triples())
+    except ValueError as exc:
+        raise ValueError(f"instance {instance!r}: {exc}") from None
+    if not abox.individuals:
         raise DatasetError(
             f"{args.trace} holds no ABox snapshots; query needs traces from a "
             "reasoner-backed condition (SD or SD-Comp)"
         )
-    abox = restore_abox(task.tbox, (triple for snapshot in snapshots for triple in snapshot))
     rows = execute(query, task.tbox, abox)
     sys.stdout.write(format_tsv(query, rows))
     return 0

@@ -145,47 +145,34 @@ _TRIPLE_FIELDS = ("subject", "predicate", "object", "origin")
 _ORIGIN_PREFIXES = (_ASSERTED, _INFERRED)
 
 
-def _snapshot_of(record: dict) -> list[dict]:
-    """A trace record's ABox snapshot, empty when it has none. Raises
-    ValueError naming the instance unless the snapshot is a list of objects
-    with string subject, predicate, object and origin, each origin of the
-    form "asserted:<justification>" or "inferred:<rule>" with a non-empty
-    remainder."""
-    snapshot = record.get("abox_snapshot")
-    if snapshot is None:
-        return []
-    instance = record.get("instance_id")
-    if not isinstance(snapshot, list):
-        raise ValueError(f"instance {instance!r}: abox_snapshot is not a list")
-    for triple in snapshot:
-        if (
-            not isinstance(triple, dict)
-            or not all(isinstance(triple.get(name), str) for name in _TRIPLE_FIELDS)
-            or not triple["origin"].startswith(_ORIGIN_PREFIXES)
-            or triple["origin"] in _ORIGIN_PREFIXES
-        ):
-            raise ValueError(f"instance {instance!r}: malformed snapshot triple {triple!r}")
-    return snapshot
-
-
 def restore_abox(tbox: TBox, snapshot: Iterable[dict]) -> ABox:
     """Rebuild an ABox from snapshot triples, keeping each triple's origin.
-    An origin of neither form "asserted:<justification>" nor "inferred:<rule>"
-    raises ValueError, and an undeclared class or property raises, before the
-    triple is inserted. Asserted triples go through the validated ABox API;
-    inferred ones are inserted as derived, with no domain or range check."""
+    Each triple is checked and then restored, in one walk, so the first
+    faulty triple in order decides the error. A triple that is not an object
+    with string subject, predicate, object and origin, or whose origin is of
+    neither form "asserted:<justification>" nor "inferred:<rule>" with a
+    non-empty remainder, raises ValueError("malformed snapshot triple ...");
+    a non-string field is such a ValueError, not an IriError. A malformed
+    name string raises IriError and an undeclared class or property raises
+    UndeclaredError, before the triple is inserted. Asserted triples go
+    through the validated ABox API; inferred ones are inserted as derived,
+    with no domain or range check."""
     abox = ABox(tbox)
     for triple in snapshot:
-        head, _, text = triple["origin"].partition(":")
+        fields = tuple(map(triple.get, _TRIPLE_FIELDS)) if isinstance(triple, dict) else (None,)
+        # a missing or non-string field leaves no origin, so the test below fails
+        origin = fields[-1] if all(isinstance(value, str) for value in fields) else ""
+        head, _, text = origin.partition(":")
         kind = f"{head}:"
         if kind not in _ORIGIN_PREFIXES or not text:
             raise ValueError(f"malformed snapshot triple {triple!r}")
-        subject = Iri.parse(triple["subject"])
-        if triple["predicate"] == CLASS_PREDICATE:
-            fact = (subject, Iri.parse(triple["object"]))
+        subject, predicate, obj, _ = fields
+        subject = Iri.parse(subject)
+        if predicate == CLASS_PREDICATE:
+            fact = (subject, Iri.parse(obj))
             insert, validated = abox._insert_class, abox.assert_class
         else:
-            fact = (subject, Iri.parse(triple["predicate"]), Iri.parse(triple["object"]))
+            fact = (subject, Iri.parse(predicate), Iri.parse(obj))
             insert, validated = abox._insert_property, abox.assert_property
         if kind == _INFERRED:
             insert(*fact, Inferred(text))

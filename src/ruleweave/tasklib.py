@@ -494,7 +494,7 @@ def load_task(document: Any) -> TaskDefinition:
     ):
         raise _fail("target.class", f"no rule concludes {target_class}")
     target_entity = target.get("entity")
-    if target_entity not in entity_classes:
+    if not isinstance(target_entity, str) or target_entity not in entity_classes:
         raise _fail("target.entity", f"unknown entity {target_entity!r}")
     if target.get("labels") != _LABELS:
         raise _fail("target.labels", f"must be {json.dumps(_LABELS)}")

@@ -4,6 +4,9 @@ The naive fixpoint oracle shares no matching code with the production
 engine: satisfaction is re-derived from scratch with brute-force variable
 enumeration, and the subclass closure is recomputed here with a different
 algorithm (iterated boolean expansion instead of per-node BFS).
+
+The snapshot restore oracle is the earlier two-validator restore, kept as
+it was: a shape predicate, then the restore body, applied triple by triple.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import random
 from ruleweave.ontology import (
     ABox,
     ClassAtom,
+    Inferred,
     Iri,
     PropertyAtom,
     SwrlRule,
@@ -274,3 +278,41 @@ def brute_force_query(query, tbox: TBox, abox: ABox):
         if ok:
             rows.add(tuple(env[name] for name in query.select_vars))
     return sorted(rows)
+
+
+_ORIGIN_PREFIXES = ("asserted:", "inferred:")
+
+
+def reference_restore_abox(tbox: TBox, snapshot) -> ABox:
+    """Reference snapshot restore: each triple must be an object with string
+    subject, predicate, object and origin, the origin starting with one of
+    the two prefixes and not equal to it; then its origin is decoded again
+    and the triple is inserted, validated when asserted."""
+    abox = ABox(tbox)
+    for triple in snapshot:
+        if (
+            not isinstance(triple, dict)
+            or not all(
+                isinstance(triple.get(name), str)
+                for name in ("subject", "predicate", "object", "origin")
+            )
+            or not triple["origin"].startswith(_ORIGIN_PREFIXES)
+            or triple["origin"] in _ORIGIN_PREFIXES
+        ):
+            raise ValueError(f"malformed snapshot triple {triple!r}")
+        head, _, text = triple["origin"].partition(":")
+        kind = f"{head}:"
+        if kind not in _ORIGIN_PREFIXES or not text:
+            raise ValueError(f"malformed snapshot triple {triple!r}")
+        subject = Iri.parse(triple["subject"])
+        if triple["predicate"] == "a":
+            fact = (subject, Iri.parse(triple["object"]))
+            insert, validated = abox._insert_class, abox.assert_class
+        else:
+            fact = (subject, Iri.parse(triple["predicate"]), Iri.parse(triple["object"]))
+            insert, validated = abox._insert_property, abox.assert_property
+        if kind == "inferred:":
+            insert(*fact, Inferred(text))
+        else:
+            validated(*fact, text)
+    return abox

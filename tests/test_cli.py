@@ -91,6 +91,17 @@ def test_validate_rejects_a_binary_spec_whose_subject_breaks_the_domain(capsys, 
     assert err.startswith("task error: assertions[2].maps_to")
 
 
+@pytest.mark.parametrize("entity", [[], {}], ids=["list", "object"])
+def test_validate_rejects_a_target_entity_that_is_not_a_string(capsys, tmp_path, entity):
+    document = builtin_task_document("hearsay")
+    document["target"]["entity"] = entity
+    path = tmp_path / "entity.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["validate", "--task", str(path)])
+    assert code == 2
+    assert err.startswith("task error: target.entity")
+
+
 def test_export_round_trips_through_validate(capsys, tmp_path):
     code, exported, _ = run_cli(capsys, ["export", "hearsay"])
     assert code == 0
@@ -502,6 +513,30 @@ def test_malformed_snapshot_exits_4(capsys, tmp_path, snapshot, message):
     assert code == 4
     assert err.startswith("data error: instance 't01': ")
     assert message in err
+
+
+_UNDECLARED = {**_TRIPLE, "object": "h:Nope"}
+_BAD_SUBJECT = {**_TRIPLE, "subject": 7}
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [
+        [{**_INSTANCE, "abox_snapshot": [_UNDECLARED, _BAD_SUBJECT]}],
+        [
+            {**_INSTANCE, "abox_snapshot": [_UNDECLARED]},
+            {**_INSTANCE, "instance_id": "t02", "abox_snapshot": [_BAD_SUBJECT]},
+        ],
+    ],
+    ids=["one-instance", "two-instances"],
+)
+def test_query_reports_the_first_faulty_triple_in_file_order(capsys, tmp_path, instances):
+    path = tmp_path / "traces.jsonl"
+    lines = [_HEADER, *instances]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["query", "--trace", str(path), "--query", HEARSAY_CLASS_QUERY])
+    assert code == 2
+    assert err.startswith("ontology error: class h:Nope")
 
 
 # Replacement values for one field of one snapshot triple: empty, malformed

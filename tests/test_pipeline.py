@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -37,7 +38,8 @@ from ruleweave.tasklib import (
     parse_rule,
 )
 
-from .oracles import random_instance
+from .oracles import random_instance, reference_restore_abox
+from .test_cli import _JUNK
 from .test_extraction import SAMPLE_TEXT, assertion_reply, entity_reply
 
 
@@ -520,6 +522,65 @@ def test_restore_rejects_an_origin_of_neither_form(hearsay, origin):
     triple = {"subject": "inst:t1_Statement", "predicate": "a", "object": "h:Statement"}
     with pytest.raises(ValueError, match="malformed snapshot triple"):
         restore_abox(hearsay.tbox, [{**triple, "origin": origin}])
+
+
+_TRIPLE = {
+    "subject": "inst:t1_Statement",
+    "predicate": "a",
+    "object": "h:Statement",
+    "origin": "asserted:j",
+}
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        {**_TRIPLE, "origin": 5},
+        {k: v for k, v in _TRIPLE.items() if k != "object"},
+        [1, 2],
+        "abc",
+        {**_TRIPLE, "subject": 7},
+    ],
+    ids=["origin-not-a-string", "triple-without-object", "list", "string", "subject-not-a-string"],
+)
+def test_restore_rejects_a_malformed_triple(hearsay, triple):
+    with pytest.raises(ValueError, match="malformed snapshot triple"):
+        restore_abox(hearsay.tbox, [triple])
+
+
+def _restore_outcome(restore, tbox, snapshot):
+    """The restored ABox, or the type and message of what the restore raised."""
+    try:
+        return restore(tbox, snapshot)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_restore_matches_the_reference_restore(hearsay, tmp_path):
+    replay = resources.files("ruleweave").joinpath("data/replay/hearsay.replay.json")
+    backend = ScriptedBackend.from_file(str(replay))
+    run = run_condition(
+        hearsay, builtin_dataset("hearsay"), Condition.SD_COMP, backend, out_dir=tmp_path
+    )
+    _, records = load_traces(run.trace_path)
+    grid = [record["abox_snapshot"] for record in records if record["abox_snapshot"]]
+    rng = random.Random(20261018)
+    kinds = Counter()
+    for case in range(400):
+        if case % 2:
+            tbox, abox = random_instance(rng)
+            snapshot = snapshot_abox(forward_chain(tbox, abox).abox)
+        else:
+            tbox, snapshot = hearsay.tbox, json.loads(json.dumps(rng.choice(grid)))
+        for _ in range(rng.randint(0, 2) if snapshot else 0):
+            triple = rng.choice(snapshot)
+            for name in rng.sample(["subject", "predicate", "object", "origin"], rng.randint(0, 2)):
+                triple[name] = rng.choice(_JUNK)
+        expected = _restore_outcome(reference_restore_abox, tbox, snapshot)
+        assert _restore_outcome(restore_abox, tbox, snapshot) == expected, snapshot
+        kinds[expected[0].__name__ if isinstance(expected, tuple) else "ABox"] += 1
+    expected_kinds = {"ABox", "ValueError", "IriError", "UndeclaredError", "DomainRangeError"}
+    assert expected_kinds <= set(kinds), kinds
 
 
 def assert_rechains(task, trace: dict) -> None:
