@@ -361,6 +361,11 @@ class ABox:
     def assert_property(
         self, subject: Iri, prop: Iri, obj: Iri, justification: str
     ) -> None:
+        self._check_property(subject, prop, obj)
+        self._insert_property(subject, prop, obj, Asserted(justification))
+
+    def _check_property(self, subject: Iri, prop: Iri, obj: Iri) -> None:
+        """The checks of an asserted property fact: declaration, domain, range."""
         decl = self.tbox.properties.get(prop)
         if decl is None:
             raise UndeclaredError(f"property {prop} not declared in TBox")
@@ -372,18 +377,18 @@ class ABox:
             raise DomainRangeError(
                 f"{obj} is not a {decl.range}: range of {prop} violated"
             )
-        self._insert_property(subject, prop, obj, Asserted(justification))
 
     # -- raw insertion: reasoner, snapshot restore, and fact-set test rigs --
+    # Each hashes its fact key once: setdefault, then a size check for "new".
 
     def _insert_class(self, individual: Iri, cls: Iri, origin: Origin) -> bool:
         if cls not in self.tbox.classes:
             raise UndeclaredError(f"class {cls} not declared in TBox")
-        key = (individual, cls)
         self.individuals.add(individual)
-        if key in self.class_assertions:
+        size = len(self.class_assertions)
+        self.class_assertions.setdefault((individual, cls), origin)
+        if len(self.class_assertions) == size:
             return False
-        self.class_assertions[key] = origin
         self.direct_classes.setdefault(individual, set()).add(cls)
         return True
 
@@ -395,12 +400,12 @@ class ABox:
         `_index_pair`, which the reasoner does when a round ends."""
         if prop not in self.tbox.properties:
             raise UndeclaredError(f"property {prop} not declared in TBox")
-        key = (subject, prop, obj)
         self.individuals.add(subject)
         self.individuals.add(obj)
-        if key in self.property_assertions:
+        size = len(self.property_assertions)
+        self.property_assertions.setdefault((subject, prop, obj), origin)
+        if len(self.property_assertions) == size:
             return False
-        self.property_assertions[key] = origin
         if indexed:
             _index_pair(self.by_subject, self.by_object, subject, prop, obj)
         return True

@@ -18,6 +18,7 @@ give byte-identical files.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -42,7 +43,7 @@ from .extraction import (
     parse_entity_response,
     run_step,
 )
-from .ontology import ABox, Asserted, Inferred, Iri, TBox
+from .ontology import ABox, Asserted, Inferred, Iri, Origin, TBox
 from .reasoner import classify, forward_chain
 from .tasklib import BELONGS_TO_CASE, BINARY, NEGATIVE_LABEL, POSITIVE_LABEL, UNARY, TaskDefinition
 
@@ -142,7 +143,14 @@ def snapshot_abox(abox: ABox) -> list[dict]:
 
 
 _TRIPLE_FIELDS = ("subject", "predicate", "object", "origin")
-_ORIGIN_PREFIXES = (_ASSERTED, _INFERRED)
+_ORIGIN_KINDS = {_ASSERTED: Asserted, _INFERRED: Inferred}
+
+
+def _decode_origin(origin: str) -> Optional[Origin]:
+    """The origin a snapshot origin string names; None if it is of neither form."""
+    head, _, text = origin.partition(":")
+    kind = _ORIGIN_KINDS.get(f"{head}:")
+    return kind(text) if kind is not None and text else None
 
 
 def restore_abox(tbox: TBox, snapshot: Iterable[dict]) -> ABox:
@@ -154,30 +162,26 @@ def restore_abox(tbox: TBox, snapshot: Iterable[dict]) -> ABox:
     non-empty remainder, raises ValueError("malformed snapshot triple ...");
     a non-string field is such a ValueError, not an IriError. A malformed
     name string raises IriError and an undeclared class or property raises
-    UndeclaredError, before the triple is inserted. Asserted triples go
-    through the validated ABox API; inferred ones are inserted as derived,
-    with no domain or range check."""
+    UndeclaredError, before the triple is inserted; only asserted property
+    triples get domain and range checks. Each distinct name and origin string
+    is decoded once per call, and no cache outlives the call."""
     abox = ABox(tbox)
+    # functools.cache keeps no result for a call that raised: a bad name raises again
+    name, decode_origin = functools.cache(Iri.parse), functools.cache(_decode_origin)
     for triple in snapshot:
         fields = tuple(map(triple.get, _TRIPLE_FIELDS)) if isinstance(triple, dict) else (None,)
         # a missing or non-string field leaves no origin, so the test below fails
-        origin = fields[-1] if all(isinstance(value, str) for value in fields) else ""
-        head, _, text = origin.partition(":")
-        kind = f"{head}:"
-        if kind not in _ORIGIN_PREFIXES or not text:
+        origin = decode_origin(fields[-1] if all(isinstance(value, str) for value in fields) else "")
+        if origin is None:
             raise ValueError(f"malformed snapshot triple {triple!r}")
         subject, predicate, obj, _ = fields
-        subject = Iri.parse(subject)
         if predicate == CLASS_PREDICATE:
-            fact = (subject, Iri.parse(obj))
-            insert, validated = abox._insert_class, abox.assert_class
-        else:
-            fact = (subject, Iri.parse(predicate), Iri.parse(obj))
-            insert, validated = abox._insert_property, abox.assert_property
-        if kind == _INFERRED:
-            insert(*fact, Inferred(text))
-        else:
-            validated(*fact, text)
+            abox._insert_class(name(subject), name(obj), origin)
+            continue
+        fact = (name(subject), name(predicate), name(obj))
+        if isinstance(origin, Asserted):
+            abox._check_property(*fact)
+        abox._insert_property(*fact, origin)
     return abox
 
 

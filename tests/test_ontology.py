@@ -284,6 +284,25 @@ def test_duplicate_assertion_keeps_first():
     assert abox.class_assertions[(s1, H_OOC)].justification == "first"
 
 
+def test_raw_inserts_report_a_duplicate_and_keep_the_first_origin():
+    tbox = make_tbox()
+    knows = Iri("h", "knows")
+    tbox.declare_property(knows)
+    abox = ABox(tbox)
+    a, b = Iri("i", "a"), Iri("i", "b")
+    first, second = Asserted("first"), Inferred("rule")
+    assert abox._insert_class(a, H_OOC, first) is True
+    assert abox._insert_class(a, H_OOC, second) is False
+    assert abox._insert_property(a, knows, b, first) is True
+    assert abox._insert_property(a, knows, b, second) is False
+    assert abox.class_assertions == {(a, H_OOC): first}
+    assert abox.property_assertions == {(a, knows, b): first}
+    assert abox.direct_classes == {a: {H_OOC}}
+    assert abox.by_subject == {knows: {a: {b}}}
+    assert abox.by_object == {knows: {b: {a}}}
+    assert abox.individuals == {a, b}
+
+
 def test_assert_property_rejects_undeclared():
     abox = ABox(make_tbox())
     with pytest.raises(UndeclaredError):

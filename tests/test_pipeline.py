@@ -10,9 +10,9 @@ from importlib import resources
 import pytest
 
 from ruleweave.backends import ScriptedBackend
-from ruleweave.errors import ConfigError
+from ruleweave.errors import ConfigError, DomainRangeError, IriError, UndeclaredError
 from ruleweave.evaluation import builtin_dataset, run_condition
-from ruleweave.ontology import ABox, Iri, TBox
+from ruleweave.ontology import ABox, Asserted, Iri, TBox
 from ruleweave.pipeline import (
     Condition,
     dump_traces,
@@ -581,6 +581,114 @@ def test_restore_matches_the_reference_restore(hearsay, tmp_path):
         kinds[expected[0].__name__ if isinstance(expected, tuple) else "ABox"] += 1
     expected_kinds = {"ABox", "ValueError", "IriError", "UndeclaredError", "DomainRangeError"}
     assert expected_kinds <= set(kinds), kinds
+
+
+def test_restore_parses_each_distinct_name_once(hearsay, tmp_path, monkeypatch):
+    replay = resources.files("ruleweave").joinpath("data/replay/hearsay.replay.json")
+    backend = ScriptedBackend.from_file(str(replay))
+    run = run_condition(
+        hearsay, builtin_dataset("hearsay"), Condition.SD_COMP, backend, out_dir=tmp_path
+    )
+    _, records = load_traces(run.trace_path)
+    triples = [triple for record in records for triple in record["abox_snapshot"] or ()]
+    names = {t[field] for t in triples for field in ("subject", "object")}
+    names |= {t["predicate"] for t in triples if t["predicate"] != "a"}
+    parsed = Counter()
+    parse = Iri.parse
+
+    def counting_parse(text):
+        parsed[text] += 1
+        return parse(text)
+
+    monkeypatch.setattr(Iri, "parse", staticmethod(counting_parse))
+    restored = restore_abox(hearsay.tbox, triples)
+    monkeypatch.undo()
+    assert sum(parsed.values()) == len(names) < len(triples)
+    assert set(parsed) == names
+    assert restored == reference_restore_abox(hearsay.tbox, triples)
+
+
+def _triple(subject, predicate, obj, origin="asserted:j"):
+    return {"subject": subject, "predicate": predicate, "object": obj, "origin": origin}
+
+
+def _restore_counting(tbox, snapshot):
+    """What restore_abox raises, and how many triples it had read by then."""
+    read = []
+
+    def feed():
+        for triple in snapshot:
+            read.append(triple)
+            yield triple
+
+    with pytest.raises(Exception) as raised:
+        restore_abox(tbox, feed())
+    assert _restore_outcome(reference_restore_abox, tbox, snapshot) == (
+        raised.type,
+        str(raised.value),
+    )
+    return raised.type, str(raised.value), len(read)
+
+
+def test_restore_checks_a_domain_before_the_class_triple_that_licenses_it(hearsay):
+    prop = _triple("inst:s", "h:hasAssertion", "inst:a")
+    classes = [_triple("inst:s", "a", "h:Statement"), _triple("inst:a", "a", "h:Assertion")]
+    kind, message, read = _restore_counting(hearsay.tbox, [prop, *classes])
+    assert (kind, read) == (DomainRangeError, 1)
+    assert "domain of h:hasAssertion" in message
+    restored = restore_abox(hearsay.tbox, [*classes, prop])
+    assert (Iri("inst", "s"), Iri("h", "hasAssertion"), Iri("inst", "a")) in restored.property_assertions
+
+
+@pytest.mark.parametrize("origin", ["asserted:j", "inferred:r"])
+@pytest.mark.parametrize(
+    "reuse, message",
+    [
+        (_triple("inst:s", "h:Statement", "inst:s"), "property h:Statement not declared"),
+        (_triple("inst:s", "a", "h:hasAssertion"), "class h:hasAssertion not declared"),
+    ],
+    ids=["class-as-property", "property-as-class"],
+)
+def test_restore_checks_a_parsed_name_again_where_it_is_reused(hearsay, origin, reuse, message):
+    snapshot = [
+        _triple("inst:s", "a", "h:Statement"),
+        _triple("inst:a", "a", "h:Assertion"),
+        _triple("inst:s", "h:hasAssertion", "inst:a"),
+        {**reuse, "origin": origin},
+        _triple("inst:a", "a", "h:Statement"),
+    ]
+    kind, text, read = _restore_counting(hearsay.tbox, snapshot)
+    assert (kind, read) == (UndeclaredError, 4)
+    assert message in text
+
+
+def test_restore_raises_for_a_malformed_name_at_its_first_occurrence(hearsay):
+    snapshot = [
+        _triple("inst:s", "a", "h:Statement"),
+        _triple("inst:bad name", "a", "h:Statement"),
+        _triple("inst:s", "h:hasAssertion", "inst:bad name"),
+        _triple("inst:bad name", "a", "h:Statement"),
+    ]
+    kind, message, read = _restore_counting(hearsay.tbox, snapshot)
+    assert (kind, read) == (IriError, 2)
+    assert "bad local name" in message
+
+
+def test_restore_keeps_the_first_origin_of_a_repeated_triple(hearsay):
+    statement, assertion = Iri("inst", "s"), Iri("inst", "a")
+    snapshot = [
+        _triple("inst:s", "a", "h:Statement", "asserted:first"),
+        _triple("inst:a", "a", "h:Assertion", "asserted:j"),
+        _triple("inst:s", "h:hasAssertion", "inst:a", "asserted:first"),
+        _triple("inst:s", "a", "h:Statement", "asserted:second"),
+        _triple("inst:s", "h:hasAssertion", "inst:a", "asserted:second"),
+    ]
+    restored = restore_abox(hearsay.tbox, snapshot)
+    assert restored == reference_restore_abox(hearsay.tbox, snapshot)
+    assert restored.class_assertions[(statement, Iri("h", "Statement"))] == Asserted("first")
+    key = (statement, Iri("h", "hasAssertion"), assertion)
+    assert restored.property_assertions[key] == Asserted("first")
+    assert len(restored.class_assertions) == 2 and len(restored.property_assertions) == 1
 
 
 def assert_rechains(task, trace: dict) -> None:
