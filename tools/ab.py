@@ -36,8 +36,10 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 MIN_PAIRS = 10
-# A gain also needs the change to win this share of pairs (choosing-metrics).
+# A gain also needs the change to win this share of pairs.
 WIN_SHARE = 0.9
+# Pair i runs its sides in ORDER[i % 2], so neither side always goes first.
+ORDER = (("base", "change"), ("change", "base"))
 
 
 def git(*args: str) -> bytes:
@@ -124,7 +126,7 @@ def main(argv=None) -> int:
         roots = {side: Path(tmp) / side for side in runs}
         shas = {side: checkout(getattr(args, side), roots[side]) for side in runs}
         for i, seed in enumerate(seeds):
-            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            for side in ORDER[i % 2]:
                 result = run_once(roots[side], args.workload, seed, args.seconds)
                 runs[side].append(result)
                 value = result["metrics"]["op_ms_p50"]["value"]
@@ -135,7 +137,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "pairs": args.pairs,
         "seeds": seeds,
-        "first_in_pair": ["base" if i % 2 == 0 else "change" for i in range(args.pairs)],
+        "first_in_pair": [ORDER[i % 2][0] for i in range(args.pairs)],
         "base": {"rev": args.base, "sha": shas["base"]},
         "change": {"rev": args.change, "sha": shas["change"]},
         "python": platform.python_version(),
