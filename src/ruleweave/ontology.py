@@ -6,8 +6,11 @@ The ABox holds individuals plus class-membership and property assertions,
 each tagged with an origin: either Asserted (carrying a natural-language
 justification) or Inferred (carrying the rule name that produced it).
 
-Identifiers are short prefix:Local pairs; a prefix table maps prefixes to
-base URLs only when something needs full URLs (queries, serialization).
+Identifiers are short prefix:Local pairs. An Iri is a (prefix, local) tuple
+whose constructor checks both names, so it equals, hashes and orders as that
+tuple, and pickles and copies through the same checks. A prefix table maps
+prefixes to base URLs only when something needs full URLs (queries,
+serialization).
 
 One deliberate deviation from OWL semantics: declared property domains and
 ranges are validated eagerly when an assertion is added through the public
@@ -18,6 +21,7 @@ the offending assertion rather than as downstream misclassification.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -48,38 +52,19 @@ def truncate_justification(text: str) -> str:
     return clipped + _TRUNCATION_MARKER
 
 
-@dataclass(frozen=True, order=True)
-class Iri:
-    """A prefix:Local identifier. Ordering is (prefix, local), used anywhere
-    the package promises deterministic iteration."""
+class Iri(namedtuple("Iri", ("prefix", "local"))):
+    """A prefix:Local identifier: a validated (prefix, local) tuple, so it
+    equals, hashes and orders as that tuple. The (prefix, local) order is
+    used anywhere the package promises deterministic iteration."""
 
-    prefix: str
-    local: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.prefix or not _NAME_RE.match(self.prefix):
-            raise IriError(f"bad prefix in {self.prefix!r}:{self.local!r}")
-        if not self.local or not _NAME_RE.match(self.local):
-            raise IriError(f"bad local name in {self.prefix!r}:{self.local!r}")
-
-    # Not a field: the class-level default stands until the first hash.
-    _hash = None
-
-    def __hash__(self) -> int:
-        # The dataclass's own value, computed on first use and kept on the
-        # instance: every fact index hashes the same Iris many times. Set
-        # through object.__setattr__ rather than by writing to `__dict__`,
-        # which would materialise a dict and slow every later attribute read.
-        cached = self._hash
-        if cached is None:
-            cached = hash((self.prefix, self.local))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __reduce__(self):
-        # Rebuild from the fields alone: a cached hash is only valid under
-        # the hash seed of the process that computed it.
-        return (Iri, (self.prefix, self.local))
+    def __new__(cls, prefix: str, local: str) -> "Iri":
+        if not prefix or not _NAME_RE.match(prefix):
+            raise IriError(f"bad prefix in {prefix!r}:{local!r}")
+        if not local or not _NAME_RE.match(local):
+            raise IriError(f"bad local name in {prefix!r}:{local!r}")
+        return super().__new__(cls, prefix, local)
 
     def __str__(self) -> str:
         return f"{self.prefix}:{self.local}"

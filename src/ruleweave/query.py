@@ -313,9 +313,7 @@ def execute(query: Query, tbox: TBox, abox: ABox) -> list[BindingRow]:
             return []
 
     rows = {tuple(binding[name] for name in query.select_vars) for binding in bindings}
-    # Iri order is (prefix, local) order; comparing those strings directly
-    # sorts the same way without a Python-level comparison per step.
-    return sorted(rows, key=lambda row: [(value.prefix, value.local) for value in row])
+    return sorted(rows)
 
 
 def format_tsv(query: Query, rows: list[BindingRow]) -> str:

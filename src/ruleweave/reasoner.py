@@ -164,13 +164,7 @@ def _rule_bindings(rule: SwrlRule, full: View, delta: View) -> list[Binding]:
                 descend(position + 1, extended)
 
         descend(0, {})
-    # Iri order is (prefix, local) order; the key compares those strings
-    # directly instead of calling Iri's comparisons at every step.
-    ordered = sorted(
-        found.items(),
-        key=lambda item: [(name, value.prefix, value.local) for name, value in item[0]],
-    )
-    return [binding for _, binding in ordered]
+    return [found[key] for key in sorted(found)]
 
 
 def _ground(term, binding: Binding) -> Iri:

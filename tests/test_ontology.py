@@ -68,10 +68,16 @@ def test_iri_equality_is_case_sensitive():
 
 def test_iri_hash_is_the_field_tuple_hash_and_is_cached():
     iri = Iri("h", "Statement")
-    assert "_hash" not in vars(iri)
     assert hash(iri) == hash(("h", "Statement"))
-    assert vars(iri)["_hash"] == hash(("h", "Statement"))
     assert hash(iri) == hash(Iri.parse("h:Statement"))
+    assert not hasattr(iri, "__dict__")
+    with pytest.raises(AttributeError):
+        iri.prefix = "i"
+    assert iri == ("h", "Statement")
+    with pytest.raises(IriError, match="bad local name"):
+        Iri("h", "9bad")
+    with pytest.raises(IriError, match="bad prefix"):
+        Iri.parse("9h:Statement")
 
 
 def test_iri_equality_ordering_and_repr_ignore_the_cached_hash():
@@ -89,12 +95,17 @@ def test_iri_pickle_and_copy_carry_no_cached_hash():
     hash(iri)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         data = pickle.dumps(iri, protocol)
-        assert b"_hash" not in data
         loaded = pickle.loads(data)
-        assert "_hash" not in vars(loaded)
+        assert type(loaded) is Iri and not hasattr(loaded, "__dict__")
         assert loaded == iri and hash(loaded) == hash(iri)
+        if protocol >= 2:
+            # Rebuilt through Iri.__new__, so a tampered name is refused.
+            with pytest.raises(IriError):
+                pickle.loads(data.replace(b"Statement", b"9tatement"))
     for dup in (copy.copy(iri), copy.deepcopy(iri)):
-        assert dup == iri and "_hash" not in vars(dup)
+        assert type(dup) is Iri and dup == iri and hash(dup) == hash(iri)
+        with pytest.raises(AttributeError):
+            dup.local = "Hearsay"
 
 
 def test_iri_unpickled_under_another_hash_seed_hashes_by_that_seed():

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import ruleweave
 
 from ruleweave.ontology import (
     ABox,
@@ -309,6 +314,25 @@ def test_fired_order_matches_the_pinned_digest():
         }
         digest.update(json.dumps(record).encode("utf-8"))
     assert digest.hexdigest() == FIRED_DIGEST
+
+
+def test_fired_digest_does_not_depend_on_the_hash_seed():
+    # The fact index's sets iterate in an order that follows the names'
+    # string hashes, which PYTHONHASHSEED changes; the sort of complete
+    # matches alone must fix `fired`.
+    script = (
+        "from tests.test_reasoner import test_fired_order_matches_the_pinned_digest\n"
+        "test_fired_order_matches_the_pinned_digest()\n"
+    )
+    source_root = os.path.dirname(os.path.dirname(ruleweave.__file__))
+    tests_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join([source_root, tests_root])
+    for seed in ("1", "777"):
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            check=True,
+        )
 
 
 def test_every_inferred_fact_names_a_fired_rule():
