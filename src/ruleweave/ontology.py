@@ -6,11 +6,10 @@ The ABox holds individuals plus class-membership and property assertions,
 each tagged with an origin: either Asserted (carrying a natural-language
 justification) or Inferred (carrying the rule name that produced it).
 
-Identifiers are short prefix:Local pairs. An Iri is a (prefix, local) tuple
-whose constructor checks both names, so it equals, hashes and orders as that
-tuple, and pickles and copies through the same checks. A prefix table maps
-prefixes to base URLs only when something needs full URLs (queries,
-serialization).
+Identifiers are short prefix:Local pairs, each an Iri: a (prefix, local)
+tuple whose constructor checks both names, so copies and pickles (protocol 2
+and up) pass the same checks. A prefix table maps prefixes to base URLs only
+when something needs full URLs (queries, serialization).
 
 One deliberate deviation from OWL semantics: declared property domains and
 ranges are validated eagerly when an assertion is added through the public
