@@ -7,9 +7,9 @@ each tagged with an origin: either Asserted (carrying a natural-language
 justification) or Inferred (carrying the rule name that produced it).
 
 Identifiers are short prefix:Local pairs, each an Iri: a (prefix, local)
-tuple whose constructor checks both names, so copies and pickles (protocol 2
-and up) pass the same checks. A prefix table maps prefixes to base URLs only
-when something needs full URLs (queries, serialization).
+tuple whose constructor checks both names, so copies, pickles and the
+namedtuple helpers pass the same checks. A prefix table maps prefixes to
+base URLs only when something needs full URLs (queries, serialization).
 
 One deliberate deviation from OWL semantics: declared property domains and
 ranges are validated eagerly when an assertion is added through the public
@@ -64,6 +64,14 @@ class Iri(namedtuple("Iri", ("prefix", "local"))):
         if not local or not _NAME_RE.match(local):
             raise IriError(f"bad local name in {prefix!r}:{local!r}")
         return super().__new__(cls, prefix, local)
+
+    # Else `_make`, `_replace` and protocol 0/1 pickles would skip `__new__`.
+    @classmethod
+    def _make(cls, iterable) -> "Iri":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return (Iri, tuple(self))
 
     def __str__(self) -> str:
         return f"{self.prefix}:{self.local}"

@@ -7,12 +7,12 @@ line. Nothing else: no OPTIONAL, FILTER, literals, or blank nodes.
 
 Class-membership patterns respect the subclass closure, and matching runs
 over asserted plus inferred facts, so a query sees exactly what the
-reasoner concluded. Each pattern becomes a class or property atom and is
-matched by the reasoner's own join kernel, `reasoner._extend`: a pattern
-whose subject or object is a constant or an already-bound variable is a
-hash lookup in the ABox's by-subject or by-object map, not a scan. A
-variable predicate or class is bound to each property or class in turn
-first. Names in the query resolve through the query's own
+reasoner concluded. The patterns become class and property atoms, joined
+in written order by the chainer's own join driver, `reasoner._matches`: a
+pattern whose subject or object is a constant or an already-bound variable
+is a hash lookup in the ABox's by-subject or by-object map, not a scan. An
+unbound variable predicate or class is bound to each property or class in
+turn. Names in the query resolve through the query's own
 PREFIX table to full URLs, then back through the task's prefix table; a
 symbol that does not resolve, or resolves to an undeclared class/property,
 makes the query return no rows and logs a warning instead of raising.
@@ -25,9 +25,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .errors import QuerySyntaxError
-from .ontology import ABox, ClassAtom, Iri, PropertyAtom, TBox, Variable
-from .reasoner import _extend, _unify
+from .errors import QuerySyntaxError, UnsafeRuleError
+from .ontology import _NAME_RE, ABox, Atom, ClassAtom, Iri, PropertyAtom, TBox, Variable
+from .reasoner import _matches
 
 log = logging.getLogger(__name__)
 
@@ -181,13 +181,14 @@ def parse_query(text: str) -> Query:
         token = parser.next(role)
         if token.kind == "var":
             name = token.value[1:]
-            if not re.fullmatch(r"[a-z][A-Za-z0-9]*", name):
+            try:
+                return Variable(name)
+            except UnsafeRuleError:
                 raise QuerySyntaxError(
                     f"variable ?{name} must start lowercase and stay alphanumeric",
                     token.line,
                     token.column,
-                )
-            return Variable(name)
+                ) from None
         if token.kind == "pname":
             return resolve(token)
         if allow_a and token.kind == "name" and token.value == "a":
@@ -245,7 +246,7 @@ def _to_task_iri(name: ResolvedName, tbox: TBox) -> Optional[Iri]:
     for prefix, base in tbox.prefixes.items():
         if name.url.startswith(base):
             local = name.url[len(base):]
-            if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", local):
+            if _NAME_RE.match(local):
                 candidates.append((len(base), prefix, local))
     if not candidates:
         return None
@@ -261,7 +262,7 @@ def execute(query: Query, tbox: TBox, abox: ABox) -> list[BindingRow]:
     TBox yield an empty result with a logged warning, per the contract that
     a dangling reference is a data problem, not a crash.
     """
-    resolved_patterns: list[tuple] = []
+    atoms: list[Atom] = []
     for pattern in query.patterns:
         terms = []
         for role, term in (
@@ -287,31 +288,14 @@ def execute(query: Query, tbox: TBox, abox: ABox) -> list[BindingRow]:
                 terms.append(iri)
             else:
                 terms.append(term)
-        resolved_patterns.append(tuple(terms))
-
-    members = abox.members()
-    view = (members, abox.by_subject, abox.by_object)
-    bindings: list[dict[str, Iri]] = [{}]
-    for subject, predicate, obj in resolved_patterns:
-        # (term, value, atom): bind term to value, then match atom. A
-        # constant predicate or class has one choice; a variable ranges over
-        # every property with pairs, or every class with members.
+        subject, predicate, obj = terms
         if predicate == CLASS_KEYWORD:
-            classes = [obj] if isinstance(obj, Iri) else list(members)
-            choices = [(obj, cls, ClassAtom(cls, subject)) for cls in classes]
+            atoms.append(ClassAtom(obj, subject))
         else:
-            properties = [predicate] if isinstance(predicate, Iri) else list(abox.by_subject)
-            choices = [(predicate, prop, PropertyAtom(prop, subject, obj)) for prop in properties]
-        extended: list[dict[str, Iri]] = []
-        for binding in bindings:
-            for term, value, atom in choices:
-                bound = _unify(term, value, binding)
-                if bound is not None:
-                    extended.extend(_extend(atom, bound, view))
-        bindings = extended
-        if not bindings:
-            return []
+            atoms.append(PropertyAtom(predicate, subject, obj))
 
+    view = (abox.members(), abox.by_subject, abox.by_object)
+    bindings = _matches(atoms, [view] * len(atoms))
     rows = {tuple(binding[name] for name in query.select_vars) for binding in bindings}
     return sorted(rows)
 

@@ -18,8 +18,9 @@ matches a property atom whose subject is already bound (a constant, or a
 variable bound by an earlier atom) with one lookup in the ABox's
 by-subject map, one with only its object bound in the by-object map, and
 scans the property only when both ends are free. Each round's delta is
-indexed the same way. The query engine runs its patterns through the same
-`_extend`.
+indexed the same way. `_matches`, the one join driver, extends a list of
+partial bindings through `_extend` one atom at a time; the chainer calls
+it once per pivot atom, the query engine once per query.
 
 Ordering guarantees, purely so `fired` logs are reproducible: rules are
 evaluated in declaration order, and a (rule, binding) pair is logged only
@@ -38,7 +39,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Sequence
 
 from .ontology import (
     ABox,
@@ -47,6 +48,7 @@ from .ontology import (
     Inferred,
     Iri,
     PairMap,
+    PropertyAtom,
     SwrlRule,
     TBox,
     Variable,
@@ -74,18 +76,6 @@ def subclass_closure(tbox: TBox) -> Mapping[Iri, frozenset[Iri]]:
     return MappingProxyType(tbox.closure)
 
 
-def _unify(term, value: Iri, binding: Binding) -> Optional[Binding]:
-    """Extend binding so term equals value, or None if impossible."""
-    if isinstance(term, Variable):
-        bound = binding.get(term.name)
-        if bound is None:
-            extended = dict(binding)
-            extended[term.name] = value
-            return extended
-        return binding if bound == value else None
-    return binding if term == value else None
-
-
 # A view of the facts: class -> members, and the two pair maps.
 View = tuple[dict[Iri, set[Iri]], PairMap, PairMap]
 
@@ -98,9 +88,24 @@ def _extend(atom: Atom, binding: Binding, view: View) -> Iterator[Binding]:
     A property atom whose subject is bound (a constant or a bound variable)
     reads the by-subject map; else one whose object is bound reads the
     by-object map; only an atom with both ends free scans the property.
+    A query's variable class or property is matched with its bound value,
+    else once per class with members or property with pairs, bound to it.
+    No rule has one: `TBox.add_rule` admits declared Iri predicates only.
     """
     members, by_subject, by_object = view
-    if isinstance(atom, ClassAtom):
+    is_class = isinstance(atom, ClassAtom)
+    predicate = atom.cls if is_class else atom.prop
+    if isinstance(predicate, Variable):
+        bound = binding.get(predicate.name)
+        for value in (members if is_class else by_subject) if bound is None else (bound,):
+            if is_class:
+                ground: Atom = ClassAtom(value, atom.term)
+            else:
+                ground = PropertyAtom(value, atom.subject, atom.object)
+            extended = binding if bound is not None else {**binding, predicate.name: value}
+            yield from _extend(ground, extended, view)
+        return
+    if is_class:
         population = members.get(atom.cls, frozenset())
         term = atom.term
         if isinstance(term, Variable) and term.name not in binding:
@@ -146,24 +151,26 @@ def _extend(atom: Atom, binding: Binding, view: View) -> Iterator[Binding]:
                 yield extended
 
 
+def _matches(atoms: Sequence[Atom], views: Sequence[View]) -> list[Binding]:
+    """Every binding that satisfies all the atoms, atom i read against
+    views[i]: partial bindings extended breadth-first, one atom at a time."""
+    bindings: list[Binding] = [{}]
+    for atom, view in zip(atoms, views):
+        bindings = [extended for binding in bindings for extended in _extend(atom, binding, view)]
+        if not bindings:
+            break
+    return bindings
+
+
 def _rule_bindings(rule: SwrlRule, full: View, delta: View) -> list[Binding]:
     """Complete antecedent matches that touch the delta, sorted for replay."""
     found: dict[tuple, Binding] = {}
-    n = len(rule.antecedent)
-    for pivot in range(n):
-        order = [pivot] + [i for i in range(n) if i != pivot]
-
-        def descend(position: int, binding: Binding) -> None:
-            if position == n:
-                key = tuple(sorted(binding.items()))
-                found.setdefault(key, binding)
-                return
-            index = order[position]
-            view = delta if index == pivot else full
-            for extended in _extend(rule.antecedent[index], binding, view):
-                descend(position + 1, extended)
-
-        descend(0, {})
+    atoms = rule.antecedent
+    views = (delta,) + (full,) * (len(atoms) - 1)
+    for pivot, atom in enumerate(atoms):
+        # The pivot atom reads the delta; the others follow in declaration order.
+        for binding in _matches((atom, *atoms[:pivot], *atoms[pivot + 1:]), views):
+            found.setdefault(tuple(sorted(binding.items())), binding)
     return [found[key] for key in sorted(found)]
 
 

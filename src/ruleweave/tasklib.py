@@ -33,7 +33,7 @@ from .errors import (
     TaskDocumentError,
     UnsafeRuleError,
 )
-from .ontology import Atom, ClassAtom, Iri, PropertyAtom, SwrlRule, TBox, Variable, atom_terms
+from .ontology import _NAME_RE, Atom, ClassAtom, Iri, PropertyAtom, SwrlRule, TBox, Variable, atom_terms
 
 SD_PREFIX = "sd"
 SD_URL = "http://example.org/sd#"
@@ -63,7 +63,6 @@ _TOP_LEVEL_KEYS = (
     "target",
 )
 
-_PREFIX_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*:[A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)\Z")
 
 
@@ -198,7 +197,7 @@ def _load_prefixes(doc: dict) -> dict[str, str]:
         raise _fail("prefixes", "must be a non-empty object mapping prefix to base URL")
     prefixes: dict[str, str] = {}
     for name, url in raw.items():
-        if not _PREFIX_NAME_RE.match(name):
+        if not _NAME_RE.match(name):
             raise _fail("prefixes", f"invalid prefix name {name!r}")
         if not isinstance(url, str) or not url:
             raise _fail(f"prefixes.{name}", "base URL must be a non-empty string")
@@ -301,7 +300,7 @@ def _load_entities(doc: dict, tbox: TBox, prefixes: dict[str, str]) -> tuple[Ent
         if unknown:
             raise _fail(path, f"unknown keys {sorted(unknown)}")
         name = _string(item, "name", path)
-        if not _PREFIX_NAME_RE.match(name):
+        if not _NAME_RE.match(name):
             raise _fail(f"{path}.name", f"invalid entity name {name!r}")
         if name in names:
             raise _fail(f"{path}.name", f"duplicate entity name {name!r}")

@@ -108,6 +108,21 @@ def test_iri_pickle_and_copy_carry_no_cached_hash():
             dup.local = "Hearsay"
 
 
+def test_iri_namedtuple_helpers_and_old_pickle_protocols_check_names():
+    iri = Iri("h", "Statement")
+    assert type(Iri._make(["h", "Other"])) is Iri
+    assert iri._replace(local="Other") == Iri("h", "Other")
+    with pytest.raises(IriError, match="bad prefix"):
+        Iri._make(["", "x"])
+    with pytest.raises(IriError, match="bad local name"):
+        iri._replace(local="9bad")
+    for protocol in (0, 1):
+        data = pickle.dumps(iri, protocol)
+        assert pickle.loads(data) == iri
+        with pytest.raises(IriError):
+            pickle.loads(data.replace(b"Statement", b"9tatement"))
+
+
 def test_iri_unpickled_under_another_hash_seed_hashes_by_that_seed():
     iri = Iri("h", "Statement")
     script = (

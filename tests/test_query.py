@@ -284,6 +284,11 @@ def test_bound_term_patterns_match_brute_force_oracle():
         "SELECT ?y ?c WHERE {{ ?x t:p{p} ?y . ?y a ?c . }}",
         "SELECT ?x ?y WHERE {{ ?x t:p{p} ?y . ?y t:p{q} ?x . }}",
         "SELECT ?x WHERE {{ ?x a t:C{c} . ?x t:p{p} ?x . }}",
+        "SELECT ?x ?p ?z WHERE {{ ?x ?p ?y . ?y ?p ?z . }}",
+        "SELECT ?x ?y ?c WHERE {{ ?x a ?c . ?y a ?c . }}",
+        "SELECT ?x ?c ?y WHERE {{ ?x a ?c . ?x ?c ?y . }}",
+        "SELECT ?x ?p ?c WHERE {{ ?x ?p ?y . ?p a ?c . }}",
+        "SELECT ?x ?p WHERE {{ ?x ?p ?x . }}",
     ]
     rng = random.Random(31415)
     checked = 0
