@@ -417,11 +417,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"{label} error: {exc}", file=sys.stderr)
                 return code
         raise  # unreachable: RuleweaveError is the last entry
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # malformed trace files surface as ValueError from load_traces
-        print(f"data error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
-    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return _EXIT_DATA
 

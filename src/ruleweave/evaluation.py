@@ -487,7 +487,6 @@ def run_condition(
             traces = list(pool.map(one, test))
     else:
         traces = [one(record) for record in test]
-    traces.sort(key=lambda t: t.instance_id)
 
     counts = fold_counts(t.to_dict() for t in traces)
     cell = cell_from_counts(model, task.id, condition.value, counts)

@@ -34,7 +34,9 @@ from .errors import (
     UnsafeRuleError,
 )
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# The one grammar of a prefix, local name or task-level name.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME + r"\Z")
 _VAR_RE = re.compile(r"[a-z][A-Za-z0-9]*\Z")
 
 JUSTIFICATION_LIMIT = 4096  # UTF-8 bytes
@@ -384,12 +386,7 @@ class ABox:
         self.direct_classes.setdefault(individual, set()).add(cls)
         return True
 
-    def _insert_property(
-        self, subject: Iri, prop: Iri, obj: Iri, origin: Origin, indexed: bool = True
-    ) -> bool:
-        """Record the fact; False if it was already present. With indexed
-        false the pair maps are left for the caller to update through
-        `_index_pair`, which the reasoner does when a round ends."""
+    def _insert_property(self, subject: Iri, prop: Iri, obj: Iri, origin: Origin) -> bool:
         if prop not in self.tbox.properties:
             raise UndeclaredError(f"property {prop} not declared in TBox")
         self.individuals.add(subject)
@@ -398,8 +395,7 @@ class ABox:
         self.property_assertions.setdefault((subject, prop, obj), origin)
         if len(self.property_assertions) == size:
             return False
-        if indexed:
-            _index_pair(self.by_subject, self.by_object, subject, prop, obj)
+        _index_pair(self.by_subject, self.by_object, subject, prop, obj)
         return True
 
     # -- lookups -------------------------------------------------------------

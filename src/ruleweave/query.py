@@ -26,21 +26,21 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import QuerySyntaxError, UnsafeRuleError
-from .ontology import _NAME_RE, ABox, Atom, ClassAtom, Iri, PropertyAtom, TBox, Variable
+from .ontology import _NAME, _NAME_RE, ABox, Atom, ClassAtom, Iri, PropertyAtom, TBox, Variable
 from .reasoner import _matches
 
 log = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>[ \t\r]+)
   | (?P<comment>\#[^\n]*)
   | (?P<newline>\n)
   | (?P<iriref><[^<>\s]*>)
   | (?P<var>\?[A-Za-z][A-Za-z0-9_]*)
-  | (?P<pname>(?:[A-Za-z_][A-Za-z0-9_]*)?:[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[{};.:])
+  | (?P<pname>(?:{_NAME})?:{_NAME})
+  | (?P<name>{_NAME})
+  | (?P<punct>[{{}};.:])
     """,
     re.VERBOSE,
 )

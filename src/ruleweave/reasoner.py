@@ -28,8 +28,11 @@ when it adds a fact that was not already present. Within one rule and one
 round, the complete matches are sorted (variables by name, values by Iri)
 before any of them fires; that sort alone fixes the `fired` order, so the
 order in which partial matches are enumerated, and hence the order of the
-fact index's sets, does not matter. Facts derived in a round become visible
-only in the next round, which the `fired` order also depends on.
+fact index's sets, does not matter. Each round has two phases: every rule
+is matched first, then the matches are committed in the same order. So a
+fact derived in a round is visible only in the next, which the `fired`
+order also depends on, and the store needs one write path, not a deferred
+one.
 Inconsistency never halts chaining; violations are collected after the
 fixpoint and reported in the result.
 """
@@ -185,11 +188,11 @@ def forward_chain(tbox: TBox, abox: ABox) -> InferenceResult:
     closure = subclass_closure(tbox)
     work = abox.copy()
 
-    # Facts derived in a round must stay invisible until the next. Class
-    # facts enter `work` at once, so their full view is a copy. Property
-    # facts enter `work` unindexed and reach its pair maps only when the
-    # round ends, so those maps are the full view. All facts count as new
-    # in the first round.
+    # Each round matches every rule before it writes anything, so a fact
+    # derived in a round is seen only in the next. It then commits the
+    # matches in the same rule and binding order, through the store's one
+    # write path, into `work` and the class-members view. All facts count
+    # as new in the first round.
     full_members = work.members()
     full: View = (full_members, work.by_subject, work.by_object)
     delta = full
@@ -197,38 +200,30 @@ def forward_chain(tbox: TBox, abox: ABox) -> InferenceResult:
     fired: list[tuple[str, Binding]] = []
 
     while delta[0] or delta[1]:  # any new class or property fact
+        matched = [(rule, _rule_bindings(rule, full, delta)) for rule in tbox.rules]
         next_members: dict[Iri, set[Iri]] = {}
-        derived: list[tuple[Iri, Iri, Iri]] = []
-
-        for rule in tbox.rules:
-            for binding in _rule_bindings(rule, full, delta):
-                head = rule.consequent
+        next_by_subject: PairMap = {}
+        next_by_object: PairMap = {}
+        for rule, bindings in matched:
+            head = rule.consequent
+            origin = Inferred(rule.name)
+            for binding in bindings:
                 if isinstance(head, ClassAtom):
                     individual = _ground(head.term, binding)
-                    if not work._insert_class(individual, head.cls, Inferred(rule.name)):
+                    if not work._insert_class(individual, head.cls, origin):
                         continue
-                    fired.append((rule.name, binding))
                     for super_cls in closure[head.cls]:
-                        if individual not in full_members.get(super_cls, ()):
+                        known = full_members.setdefault(super_cls, set())
+                        if individual not in known:
+                            known.add(individual)
                             next_members.setdefault(super_cls, set()).add(individual)
                 else:
                     subject = _ground(head.subject, binding)
                     obj = _ground(head.object, binding)
-                    if not work._insert_property(
-                        subject, head.prop, obj, Inferred(rule.name), indexed=False
-                    ):
+                    if not work._insert_property(subject, head.prop, obj, origin):
                         continue
-                    fired.append((rule.name, binding))
-                    derived.append((subject, head.prop, obj))
-
-        # Facts derived this round become visible (and "new") next round.
-        for cls, members in next_members.items():
-            full_members.setdefault(cls, set()).update(members)
-        next_by_subject: PairMap = {}
-        next_by_object: PairMap = {}
-        for subject, prop, obj in derived:
-            _index_pair(work.by_subject, work.by_object, subject, prop, obj)
-            _index_pair(next_by_subject, next_by_object, subject, prop, obj)
+                    _index_pair(next_by_subject, next_by_object, subject, head.prop, obj)
+                fired.append((rule.name, binding))
         delta = (next_members, next_by_subject, next_by_object)
 
     violations = check_consistency(tbox, work)
@@ -245,12 +240,11 @@ def check_consistency(tbox: TBox, abox: ABox) -> list[tuple[Iri, Iri, Iri]]:
     sides of, membership expanded through the subclass closure."""
     if not tbox.disjoint_axioms:
         return []
-    members = abox.members()
     return [
         (individual, a, b)
         for individual in sorted(abox.individuals)
         for a, b in tbox.disjoint_axioms
-        if individual in members.get(a, ()) and individual in members.get(b, ())
+        if abox.is_member(individual, a) and abox.is_member(individual, b)
     ]
 
 

@@ -33,7 +33,7 @@ from .errors import (
     TaskDocumentError,
     UnsafeRuleError,
 )
-from .ontology import _NAME_RE, Atom, ClassAtom, Iri, PropertyAtom, SwrlRule, TBox, Variable, atom_terms
+from .ontology import _NAME, _NAME_RE, Atom, ClassAtom, Iri, PropertyAtom, SwrlRule, TBox, Variable, atom_terms
 
 SD_PREFIX = "sd"
 SD_URL = "http://example.org/sd#"
@@ -63,7 +63,7 @@ _TOP_LEVEL_KEYS = (
     "target",
 )
 
-_ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*:[A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)\Z")
+_ATOM_RE = re.compile(rf"({_NAME}:{_NAME})\s*\(([^()]*)\)\Z")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from ruleweave.query import (
     format_tsv,
     parse_query,
 )
+from ruleweave.reasoner import forward_chain
 
 from .oracles import brute_force_query, random_instance
 
@@ -266,7 +267,10 @@ def test_execute_matches_brute_force_oracle_on_random_instances():
         tbox, abox = random_instance(rng)
         text = rng.choice(templates).format(c=rng.randrange(6), p=rng.randrange(4))
         query = parse_query(text)
-        assert execute(query, tbox, abox) == brute_force_query(query, tbox, abox)
+        # The chained ABox too: every derived fact must reach the index
+        # that `execute` reads, not only the fact dicts the oracle reads.
+        for facts in (abox, forward_chain(tbox, abox).abox):
+            assert execute(query, tbox, facts) == brute_force_query(query, tbox, facts)
         checked += 1
 
 
