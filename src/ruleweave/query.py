@@ -294,7 +294,9 @@ def execute(query: Query, tbox: TBox, abox: ABox) -> list[BindingRow]:
         else:
             atoms.append(PropertyAtom(predicate, subject, obj))
 
-    view = (abox.members(), abox.by_subject, abox.by_object)
+    # Only class atoms, variable-class ones included, read the members view.
+    members = abox.members() if any(isinstance(atom, ClassAtom) for atom in atoms) else {}
+    view = (members, abox.by_subject, abox.by_object)
     bindings = _matches(atoms, [view] * len(atoms))
     rows = {tuple(binding[name] for name in query.select_vars) for binding in bindings}
     return sorted(rows)

@@ -34,7 +34,8 @@ fact derived in a round is visible only in the next, which the `fired`
 order also depends on, and the store needs one write path, not a deferred
 one.
 Inconsistency never halts chaining; violations are collected after the
-fixpoint and reported in the result.
+fixpoint and reported in the result: `forward_chain` is `_fixpoint`
+followed by `check_consistency`, and task validation calls `_fixpoint` alone.
 """
 
 from __future__ import annotations
@@ -185,6 +186,15 @@ def _ground(term, binding: Binding) -> Iri:
 
 def forward_chain(tbox: TBox, abox: ABox) -> InferenceResult:
     """Run all rules to the least fixpoint and check disjointness after."""
+    work, fired = _fixpoint(tbox, abox)
+    violations = check_consistency(tbox, work)
+    return InferenceResult(work, consistent=not violations, violations=violations, fired=fired)
+
+
+def _fixpoint(tbox: TBox, abox: ABox) -> tuple[ABox, list[tuple[str, Binding]]]:
+    """The least fixpoint of all rules over a copy of abox, and the `fired`
+    log, with no consistency check: task validation chains an instance that
+    is inconsistent by construction."""
     closure = subclass_closure(tbox)
     work = abox.copy()
 
@@ -225,14 +235,7 @@ def forward_chain(tbox: TBox, abox: ABox) -> InferenceResult:
                     _index_pair(next_by_subject, next_by_object, subject, head.prop, obj)
                 fired.append((rule.name, binding))
         delta = (next_members, next_by_subject, next_by_object)
-
-    violations = check_consistency(tbox, work)
-    return InferenceResult(
-        abox=work,
-        consistent=not violations,
-        violations=violations,
-        fired=fired,
-    )
+    return work, fired
 
 
 def check_consistency(tbox: TBox, abox: ABox) -> list[tuple[Iri, Iri, Iri]]:

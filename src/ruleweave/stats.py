@@ -139,10 +139,3 @@ def paired_t_test(xs: Sequence[float], ys: Sequence[float]) -> TTestResult:
     mean, sd = _mean_sd(diffs)
     t = mean / (sd / math.sqrt(n))
     return TTestResult(t=t, p=two_sided_p(t, n - 1), dz=t / math.sqrt(n), n=n)
-
-
-def cohens_dz(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Paired effect size: mean difference over sd of differences."""
-    diffs = _paired_differences(xs, ys)
-    mean, sd = _mean_sd(diffs)
-    return mean / sd

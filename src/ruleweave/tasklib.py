@@ -16,6 +16,9 @@ for minted individuals and ``sd`` for the bookkeeping property
 
 Datasets, prompts and scoring share one label pair, ``POSITIVE_LABEL``/
 ``NEGATIVE_LABEL`` ("Yes"/"No"), so ``target.labels`` must be exactly that pair.
+
+``load_task`` ends by chaining the maximal instance with ``reasoner._fixpoint``,
+the chainer without its consistency check (see ``_check_maximal_instance``).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import (
     UnsafeRuleError,
 )
 from .ontology import _NAME, _NAME_RE, Atom, ClassAtom, Iri, PropertyAtom, SwrlRule, TBox, Variable, atom_terms
+from .reasoner import _fixpoint, _matches
 
 SD_PREFIX = "sd"
 SD_URL = "http://example.org/sd#"
@@ -418,48 +422,42 @@ def _load_assertions(
     return tuple(specs)
 
 
-def _check_populatable(
-    tbox: TBox,
-    entity_specs: tuple[EntitySpec, ...],
-    assertion_specs: tuple[AssertionSpec, ...],
-) -> None:
-    """Reject rules containing an atom nothing in the task can ever assert."""
-    closure = tbox.closure
-    classes: set[Iri] = set()
-    properties: set[Iri] = {BELONGS_TO_CASE}
-    for entity in entity_specs:
-        classes |= closure[entity.ontology_class]
-    for spec in assertion_specs:
-        if spec.arity == UNARY:
-            classes |= closure[spec.maps_to]
-        else:
-            properties.add(spec.maps_to)
+def _check_maximal_instance(task: TaskDefinition) -> None:
+    """Chain the maximal instance, every entity found and every assertion spec
+    holding (both members of a complement pair too), and reject a rule that
+    never fires there or a target entity that never reaches the target class.
+    Every instance asserts a subset of these facts, up to the instance id in
+    the minted names, and Horn rules are monotone, so what fails here fails
+    in every instance."""
+    from . import extraction, pipeline  # both import this module
 
-    def populatable(atom: Atom) -> bool:
-        if isinstance(atom, ClassAtom):
-            return atom.cls in classes
-        return atom.prop in properties
-
-    pending = list(tbox.rules)
-    progress = True
-    while progress and pending:
-        progress = False
-        for rule in list(pending):
-            if all(populatable(atom) for atom in rule.antecedent):
-                if isinstance(rule.consequent, ClassAtom):
-                    classes |= closure[rule.consequent.cls]
-                else:
-                    properties.add(rule.consequent.prop)
-                pending.remove(rule)
-                progress = True
-    for rule in pending:
-        for atom in rule.antecedent:
-            if not populatable(atom):
-                raise _fail(
-                    "rules",
-                    f"atom {atom} in rule {rule.name!r} can never be populated "
-                    "by any entity or assertion spec",
-                )
+    instance = "maximal"  # also the justification of every asserted fact
+    individual = {spec.name: extraction.mint_individual(instance, spec.name) for spec in task.entity_specs}
+    entities = extraction.EntityExtraction(tuple(
+        extraction.EntityRecord(name, True, individual=iri, explanation=instance)
+        for name, iri in individual.items()
+    ))
+    assertions = extraction.AssertionExtraction(tuple(
+        extraction.AssertionRecord(
+            spec.name, True, individual[spec.subject_entity], instance, individual.get(spec.object_entity)
+        )
+        for spec in task.assertion_specs
+    ))
+    abox, fired = _fixpoint(task.tbox, pipeline.populate_abox(task, instance, entities, assertions))
+    fired_rules = {name for name, _ in fired}
+    unfired = [(i, rule) for i, rule in enumerate(task.tbox.rules) if rule.name not in fired_rules]
+    if unfired:
+        # A rule whose head another rule derived first matches without firing.
+        view = (abox.members(), abox.by_subject, abox.by_object)
+        for i, rule in unfired:
+            atoms = rule.antecedent
+            for k, atom in enumerate(atoms, start=1):
+                if not _matches(atoms[:k], (view,) * k):
+                    raise _fail(f"rules[{i}]", f"rule {rule.name!r} never fires: no instance matches "
+                                f"its antecedent up to atom {atom}")
+    if not abox.is_member(individual[task.target_entity], task.target_class):
+        raise _fail("target", f"entity {task.target_entity!r} never becomes a member of "
+                    f"{task.target_class}, even with every entity found and every assertion holding")
 
 
 def load_task(document: Any) -> TaskDefinition:
@@ -502,9 +500,7 @@ def load_task(document: Any) -> TaskDefinition:
     if notes is not None and not isinstance(notes, str):
         raise _fail("notes", "must be a string when present")
 
-    _check_populatable(tbox, entity_specs, assertion_specs)
-
-    return TaskDefinition(
+    task = TaskDefinition(
         id=task_id,
         domain_context=context,
         tbox=tbox,
@@ -514,6 +510,8 @@ def load_task(document: Any) -> TaskDefinition:
         target_entity=target_entity,
         notes=notes,
     )
+    _check_maximal_instance(task)
+    return task
 
 
 def effective_assertion_specs(

@@ -91,6 +91,36 @@ def test_validate_rejects_a_binary_spec_whose_subject_breaks_the_domain(capsys, 
     assert err.startswith("task error: assertions[2].maps_to")
 
 
+def _rule_about_the_assertion_only(document):
+    document["rules"] = [{"name": "hearsay_definition", "text": "h:Assertion(?s) -> h:Hearsay(?s)"}]
+
+
+def _rule_joining_the_assertion_backwards(document):
+    document["rules"].append(
+        {"name": "dead", "text": "h:Statement(?s) ^ h:hasAssertion(?a, ?s) -> h:Hearsay(?s)"}
+    )
+
+
+# Every atom of these rules can be populated, but even with every entity found
+# and every assertion holding, no run could label a statement positive by them.
+@pytest.mark.parametrize(
+    "edit, names",
+    [
+        (_rule_about_the_assertion_only, ("task error: target:", "'Statement'", "h:Hearsay")),
+        (_rule_joining_the_assertion_backwards, ("task error: rules[1]:", "'dead'", "h:hasAssertion(?a, ?s)")),
+    ],
+    ids=["unreachable-target", "dead-rule"],
+)
+def test_validate_rejects_a_rule_no_instance_can_use(capsys, tmp_path, edit, names):
+    document = builtin_task_document("hearsay")
+    edit(document)
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["validate", "--task", str(path)])
+    assert code == 2
+    assert out == "" and all(name in err for name in names)
+
+
 @pytest.mark.parametrize("entity", [[], {}], ids=["list", "object"])
 def test_validate_rejects_a_target_entity_that_is_not_a_string(capsys, tmp_path, entity):
     document = builtin_task_document("hearsay")

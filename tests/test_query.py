@@ -90,7 +90,7 @@ def test_unknown_prefix_is_a_parse_error():
 def test_syntax_error_carries_line_and_column():
     with pytest.raises(QuerySyntaxError) as excinfo:
         parse_query("PREFIX : <http://x#>\nSELECT ?x\nWHERE doesnotopen")
-    assert excinfo.value.line == 3
+    assert (excinfo.value.line, excinfo.value.column) == (3, 7)
 
 
 def test_select_without_variables_is_an_error():

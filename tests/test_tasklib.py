@@ -338,6 +338,14 @@ def test_rule_chain_counts_as_populatable():
     load_task(doc)
 
 
+def test_rule_whose_head_an_earlier_rule_derives_still_validates():
+    # In the maximal instance "again" matches but adds nothing, so it never
+    # fires; only a rule whose antecedent matches nothing is rejected.
+    doc = copy.deepcopy(MINIMAL_DOC)
+    doc["rules"].append({"name": "again", "text": doc["rules"][0]["text"]})
+    load_task(doc)
+
+
 def test_unknown_prefix_in_class_list():
     doc = copy.deepcopy(MINIMAL_DOC)
     doc["classes"].append("z:Thing")
