@@ -15,7 +15,7 @@ from typing import Callable, Optional, TypeVar
 
 from .backends import Backend, ChatRequest
 from .errors import MalformedResponseError, NotExtractable
-from .ontology import Iri
+from .ontology import _NAME_RE, Iri
 from .tasklib import (
     BINARY,
     INSTANCE_PREFIX,
@@ -36,12 +36,13 @@ STEP_DIRECT_COMP = "direct_comp"
 STEP_FS = "fs"
 STEP_COT = "cot"
 
+# Compiled at import, so the first name minted (by task validation) pays no compile.
+_NON_NAME_CHAR = re.compile(r"[^A-Za-z0-9_]")
+
 
 def sanitize_local_name(text: str) -> str:
-    cleaned = re.sub(r"[^A-Za-z0-9_]", "_", text)
-    if not cleaned or not re.match(r"[A-Za-z_]", cleaned):
-        cleaned = "_" + cleaned
-    return cleaned
+    cleaned = _NON_NAME_CHAR.sub("_", text)
+    return cleaned if _NAME_RE.match(cleaned) else "_" + cleaned
 
 
 def mint_individual(instance_id: str, entity_name: str) -> Iri:

@@ -171,8 +171,9 @@ def _rule_bindings(rule: SwrlRule, full: View, delta: View) -> list[Binding]:
     found: dict[tuple, Binding] = {}
     atoms = rule.antecedent
     views = (delta,) + (full,) * (len(atoms) - 1)
-    for pivot, atom in enumerate(atoms):
-        # The pivot atom reads the delta; the others follow in declaration order.
+    # The pivot atom reads the delta; the others follow in declaration order.
+    # In the first round the delta is every fact, so the first pivot finds all.
+    for pivot, atom in enumerate(atoms[:1] if delta is full else atoms):
         for binding in _matches((atom, *atoms[:pivot], *atoms[pivot + 1:]), views):
             found.setdefault(tuple(sorted(binding.items())), binding)
     return [found[key] for key in sorted(found)]

@@ -107,7 +107,10 @@ def _rule_joining_the_assertion_backwards(document):
     "edit, names",
     [
         (_rule_about_the_assertion_only, ("task error: target:", "'Statement'", "h:Hearsay")),
-        (_rule_joining_the_assertion_backwards, ("task error: rules[1]:", "'dead'", "h:hasAssertion(?a, ?s)")),
+        (
+            _rule_joining_the_assertion_backwards,
+            ("task error: rules[1]:", "'dead'", "h:hasAssertion(?a, ?s)"),
+        ),
     ],
     ids=["unreachable-target", "dead-rule"],
 )
