@@ -3,9 +3,9 @@
 Every backend answers ``complete(request)`` with the raw response text plus a
 parsed JSON payload when the text contains one. The scripted backend maps
 ``(instance_id, step)`` to a reply text. On its own it replays a fixture and
-never touches the network; wrapped around a live backend it records each
-reply it forwards and replays a step it already holds, so a recorded run
-replays to the same traces.
+never touches the network. ``ruleweave run`` wraps every backend it builds in
+one, so within a run each (instance, step) is asked once and later asks are
+replayed; ``--record`` only saves what the store holds.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ class ScriptedBackend:
     """One map from (instance_id, step) to a reply text that replays and records.
 
     A held key is replayed and never sent on. A missing key goes to the inner
-    backend, when there is one, and its reply is held from then on, so
-    ``save`` writes a file that replays the run. With no inner backend a
-    repair step falls back to its base step, so a well-formed fixture does
-    not need one entry per retry.
+    backend, when there is one, and its reply is held from then on, also at
+    temperature > 0, so ``save`` writes a file that replays the run. With no
+    inner backend a repair step falls back to its base step, so a well-formed
+    fixture does not need one entry per retry.
     """
 
     def __init__(self, responses: dict[tuple[str, str], str], inner: Optional[Backend] = None):
@@ -184,7 +184,8 @@ class _RateLimiter:
 
 
 class HttpBackend:
-    """Client for a chat-completions-compatible JSON endpoint."""
+    """Client for a chat-completions-compatible JSON endpoint. ``max_concurrency``
+    caps nothing here: it is ``ruleweave run``'s pool size when ``--workers`` is not given."""
 
     def __init__(
         self,
@@ -204,7 +205,7 @@ class HttpBackend:
         self.model = model
         self.timeout = timeout
         self._api_key = key
-        self._semaphore = threading.BoundedSemaphore(max(1, max_concurrency))
+        self.max_concurrency = max_concurrency
         self._limiter = _RateLimiter(rpm)
 
     def complete(self, request: ChatRequest) -> BackendResponse:
@@ -226,17 +227,17 @@ class HttpBackend:
         last_error = "unknown"
         for attempt in range(RETRYABLE_ATTEMPTS):
             self._limiter.wait()
-            with self._semaphore:
-                try:
-                    reply = requests.post(
-                        self.endpoint, json=body, headers=headers, timeout=self.timeout
-                    )
-                except requests.RequestException as exc:
-                    raise BackendError(f"request to {self.endpoint} failed: {exc}") from exc
+            try:
+                reply = requests.post(
+                    self.endpoint, json=body, headers=headers, timeout=self.timeout
+                )
+            except requests.RequestException as exc:
+                raise BackendError(f"request to {self.endpoint} failed: {exc}") from exc
             if reply.status_code == 429 or reply.status_code >= 500:
                 last_error = f"HTTP {reply.status_code}"
                 log.warning("retryable %s from %s (attempt %d)", last_error, self.endpoint, attempt + 1)
-                time.sleep(2.0**attempt)
+                if attempt + 1 < RETRYABLE_ATTEMPTS:
+                    time.sleep(2.0**attempt)
                 continue
             if reply.status_code != 200:
                 raise BackendError(f"HTTP {reply.status_code} from {self.endpoint}: {reply.text[:500]}")

@@ -71,9 +71,6 @@ _CONFIG_TYPES = {
 # keys whose value, when not null, must be greater than 0 (null rpm means no limit)
 _POSITIVE_KEYS = ("max_concurrency", "rpm", "timeout")
 
-_COMP_ON = {Condition.SD: Condition.SD_COMP, Condition.SD_DIRECT: Condition.SD_DIRECT_COMP}
-_COMP_OFF = {after: before for before, after in _COMP_ON.items()}
-
 
 def _task_document(value: str) -> dict:
     """A --task argument is a built-in id or a path to a task document."""
@@ -146,10 +143,6 @@ def _run_conditions(args) -> list[Condition]:
         conditions = [Condition.SD]
     else:
         conditions = [parse_condition(value) for value in args.condition]
-    if args.complementary == "on":
-        conditions = [_COMP_ON.get(c, c) for c in conditions]
-    elif args.complementary == "off":
-        conditions = [_COMP_OFF.get(c, c) for c in conditions]
     return list(dict.fromkeys(conditions))
 
 
@@ -169,6 +162,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     task = load_task(_task_document(args.task))
     if args.dataset:
         dataset = load_dataset(args.dataset)
@@ -178,8 +173,9 @@ def cmd_run(args) -> int:
         dataset = sample_dataset(dataset, args.sample, args.seed)
     config = _load_config(args.config)
     backend, model = _build_backend(args, task, config)
-    if args.record:
-        backend = ScriptedBackend({}, inner=backend)
+    workers = args.workers or getattr(backend, "max_concurrency", 1)
+    # Every run holds each reply, so no (instance, step) is asked twice.
+    store = ScriptedBackend({}, inner=backend)
     temperature = float(args.temperature if args.temperature is not None else config.get("temperature", 0.0))
 
     for condition in _run_conditions(args):
@@ -187,10 +183,10 @@ def cmd_run(args) -> int:
             task,
             dataset,
             condition,
-            backend,
+            store,
             model=model,
             temperature=temperature,
-            workers=args.workers,
+            workers=workers,
             out_dir=args.out,
             timestamp=args.timestamp,
         )
@@ -207,7 +203,7 @@ def cmd_run(args) -> int:
             f"-> {run.trace_path}"
         )
     if args.record:
-        backend.save(args.record)
+        store.save(args.record)
         print(f"recorded replay -> {args.record}")
     return 0
 
@@ -333,16 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--record", help="write every exchange to this replay file")
     p_run.add_argument("--model", help="model name (http: sent to the API; also names output dirs)")
     p_run.add_argument("--endpoint", help="http backend: chat-completions URL")
-    p_run.add_argument("--config", help="JSON config file (endpoint, model, max_concurrency, rpm, ...)")
+    p_run.add_argument(
+        "--config", help="JSON config file (endpoint, model, max_concurrency: default --workers, rpm, ...)"
+    )
     p_run.add_argument("--out", default="out", help="output directory root (default: out)")
     p_run.add_argument("--sample", type=int, help="evaluate a random sample of N test instances")
     p_run.add_argument("--seed", type=int, default=0, help="seed for --sample (default 0)")
-    p_run.add_argument("--workers", type=int, default=1, help="concurrent instances (default 1)")
-    p_run.add_argument(
-        "--complementary",
-        choices=("on", "off"),
-        help="force SD and SD-Direct to their with/without-complement variants",
-    )
+    p_run.add_argument("--workers", type=int, help="concurrent instances (default: max_concurrency, else 1)")
     p_run.add_argument("--temperature", type=float, help="sampling temperature (default 0)")
     p_run.add_argument("--timestamp", help="fix the trace header timestamp (for exact diffs)")
     p_run.add_argument("-v", "--verbose", action="store_true", help="print one line per instance")

@@ -14,7 +14,7 @@ from importlib import resources
 import pytest
 
 from ruleweave import cli
-from ruleweave.backends import BackendResponse
+from ruleweave.backends import BackendError, BackendResponse
 from ruleweave.cli import main
 from ruleweave.tasklib import builtin_task_document
 
@@ -185,15 +185,6 @@ def test_run_sample_with_verbose_lines(capsys, tmp_path):
     assert "scored=3" in out
 
 
-def test_run_complementary_toggle_switches_condition(capsys, tmp_path):
-    code, _, _ = run_hearsay(
-        capsys, tmp_path, "--condition", "SD", "--complementary", "on"
-    )
-    assert code == 0
-    assert (tmp_path / "hearsay" / "SD-Comp" / "scripted" / "traces.jsonl").is_file()
-    assert not (tmp_path / "hearsay" / "SD").exists()
-
-
 def test_run_record_produces_a_working_replay(capsys, tmp_path):
     recorded = tmp_path / "recorded.replay.json"
     code, out, _ = run_hearsay(
@@ -221,6 +212,17 @@ GRID_REPLAY_SHA256 = {
     "method_application": "2870309ec13357fb11126d4c5d62fc4fec4e4467023bd14cef4c984fe446b118",
     "clinical_eligibility": "e1f095d07373f475e449de7d2cc6a67ecaddfe025f5de333dd60c4dcb27f0eee",
 }
+
+
+GRID_CONDITIONS = ["FS", "CoT", "SD", "SD-Comp", "SD-Direct", "SD-Direct-Comp"]
+
+
+def run_grid(capsys, task_id, out_dir, *extra):
+    argv = ["run", "--task", task_id, "--out", str(out_dir), "--timestamp", "t0", *extra]
+    for condition in GRID_CONDITIONS:
+        argv += ["--condition", condition]
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
 
 
 def test_recorded_grid_replay_matches_the_pinned_digest(capsys, tmp_path):
@@ -271,6 +273,71 @@ def test_recorded_run_replays_every_condition_that_shares_a_step(capsys, tmp_pat
         first = tmp_path / "first" / "hearsay" / condition / "scripted" / "traces.jsonl"
         second = tmp_path / "second" / "hearsay" / condition / "scripted" / "traces.jsonl"
         assert first.read_bytes() == second.read_bytes(), condition
+
+
+class _CountingBackend:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        return self.inner.complete(request)
+
+
+def test_run_asks_each_instance_step_once_across_conditions(capsys, tmp_path, monkeypatch):
+    built = []
+    build_backend = cli._build_backend
+
+    def counting(args, task, config):
+        backend, model = build_backend(args, task, config)
+        built.append(_CountingBackend(backend))
+        return built[-1], model
+
+    monkeypatch.setattr(cli, "_build_backend", counting)
+    for task_id in GRID_REPLAY_SHA256:
+        run_grid(capsys, task_id, tmp_path / task_id)
+    # 70 distinct (instance, step) keys per task; asking per condition made 120.
+    assert [backend.calls for backend in built] == [70, 70, 70]
+
+
+def test_run_output_is_byte_identical_across_worker_counts(capsys, tmp_path):
+    def outputs(workers):
+        root = tmp_path / f"workers{workers}"
+        for task_id in GRID_REPLAY_SHA256:
+            replay = root / f"{task_id}.replay.json"
+            run_grid(capsys, task_id, root / "out", "--workers", workers, "--record", str(replay))
+        return {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+    serial = outputs("1")
+    assert len(serial) == 3 * (1 + 2 * len(GRID_CONDITIONS))
+    assert outputs("4") == serial
+
+
+def test_run_pool_size_is_workers_else_max_concurrency_else_1(capsys, tmp_path, monkeypatch):
+    seen = []
+
+    def capture(*args, workers, **kwargs):
+        seen.append(workers)
+        raise BackendError("pool size captured")
+
+    monkeypatch.setattr(cli, "run_condition", capture)
+    monkeypatch.setenv("RULEWEAVE_API_KEY", "k")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"endpoint": "http://localhost/v1", "max_concurrency": 3}), encoding="utf-8")
+    http = ("--backend", "http", "--model", "m", "--config", str(config))
+    for extra in (http, (*http, "--workers", "2"), ()):
+        code, _, err = run_hearsay(capsys, tmp_path, *extra)
+        assert code == 3 and "pool size captured" in err
+    assert seen == [3, 2, 1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_run_workers_below_1_exits_2(capsys, tmp_path, workers):
+    code, _, err = run_hearsay(capsys, tmp_path, "--workers", workers)
+    assert code == 2
+    assert err.startswith("config error: --workers must be at least 1")
+    assert not (tmp_path / "hearsay").exists()
 
 
 def test_run_unknown_condition_exits_2(capsys, tmp_path):

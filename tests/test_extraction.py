@@ -563,4 +563,4 @@ def test_http_backend_gives_up_after_three_server_errors(monkeypatch):
     backend = HttpBackend("https://api.example/v1/chat", "m", api_key="k")
     with pytest.raises(BackendError, match=r"gave up after 3 attempts \(HTTP 503\)"):
         backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
-    assert sleeps == [1, 2, 4]
+    assert sleeps == [1, 2]
