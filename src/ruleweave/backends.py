@@ -27,11 +27,21 @@ log = logging.getLogger(__name__)
 API_KEY_ENV = "RULEWEAVE_API_KEY"
 DEFAULT_TIMEOUT = 120.0
 RETRYABLE_ATTEMPTS = 3
+_DIGEST_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
+class _Schema(dict):
+    """A read-only response schema shared by its requests, with its prompt and digest dumps made once."""
+
+    def __init__(self, schema: dict):
+        super().__init__(schema)
+        self.prompt_dump = json.dumps(schema, indent=2, ensure_ascii=False)
+        self.digest_dump = _DIGEST_JSON.encode(schema)
 
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One structured-output request to a model."""
+    """One structured-output request to a model; ``response_schema`` may be shared and is read-only."""
 
     system: str
     user: str
@@ -46,19 +56,14 @@ class ChatRequest:
             raise BackendError("response_schema must be non-empty")
 
     def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "system": self.system,
-                "user": self.user,
-                "response_schema": self.response_schema,
-                "model": self.model,
-                "instance_id": self.instance_id,
-                "step": self.step,
-                "temperature": self.temperature,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
+        """sha256 of the seven fields as one ``_DIGEST_JSON`` object; the schema sorts after model."""
+        schema = self.response_schema
+        schema_dump = schema.digest_dump if isinstance(schema, _Schema) else _DIGEST_JSON.encode(schema)
+        head = _DIGEST_JSON.encode({"instance_id": self.instance_id, "model": self.model})
+        tail = _DIGEST_JSON.encode(
+            {"step": self.step, "system": self.system, "temperature": self.temperature, "user": self.user}
         )
+        payload = f'{head[:-1]}, "response_schema": {schema_dump}, {tail[1:]}'
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -68,22 +73,25 @@ class BackendResponse:
     data: object = None
 
 
-def parse_json_payload(text: str):
-    """Best-effort JSON extraction; returns None when nothing parses."""
-    candidates = [text.strip()]
+def _json_candidates(text: str):
     stripped = text.strip()
+    yield stripped
     if stripped.startswith("```"):
         body = stripped.strip("`")
         if body.startswith("json"):
             body = body[4:]
-        candidates.append(body.strip())
+        yield body.strip()
     start, end = text.find("{"), text.rfind("}")
     if 0 <= start < end:
-        candidates.append(text[start : end + 1])
-    for candidate in candidates:
+        yield text[start : end + 1]
+
+
+def parse_json_payload(text: str):
+    """Best-effort JSON extraction, making each candidate only if needed; None when nothing parses."""
+    for candidate in _json_candidates(text):
         try:
             return json.loads(candidate)
-        except (json.JSONDecodeError, ValueError):
+        except ValueError:
             continue
     return None
 

@@ -172,11 +172,14 @@ def cmd_run(args) -> int:
     if args.sample is not None:
         dataset = sample_dataset(dataset, args.sample, args.seed)
     config = _load_config(args.config)
+    temperature = float(args.temperature if args.temperature is not None else config.get("temperature", 0.0))
+    if not 0 <= temperature < float("inf"):
+        source = f"{args.config}: config key 'temperature'" if args.temperature is None else "--temperature"
+        raise ConfigError(f"{source} must be finite and at least 0, got {temperature!r}")
     backend, model = _build_backend(args, task, config)
     workers = args.workers or getattr(backend, "max_concurrency", 1)
     # Every run holds each reply, so no (instance, step) is asked twice.
     store = ScriptedBackend({}, inner=backend)
-    temperature = float(args.temperature if args.temperature is not None else config.get("temperature", 0.0))
 
     for condition in _run_conditions(args):
         run = run_condition(
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--sample", type=int, help="evaluate a random sample of N test instances")
     p_run.add_argument("--seed", type=int, default=0, help="seed for --sample (default 0)")
     p_run.add_argument("--workers", type=int, help="concurrent instances (default: max_concurrency, else 1)")
-    p_run.add_argument("--temperature", type=float, help="sampling temperature (default 0)")
+    p_run.add_argument("--temperature", type=float, help="sampling temperature, finite and >= 0 (default 0)")
     p_run.add_argument("--timestamp", help="fix the trace header timestamp (for exact diffs)")
     p_run.add_argument("-v", "--verbose", action="store_true", help="print one line per instance")
     p_run.set_defaults(func=cmd_run)

@@ -8,12 +8,12 @@ up as an error.
 
 from __future__ import annotations
 
-import json
+import functools
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, TypeVar
 
-from .backends import Backend, ChatRequest
+from .backends import Backend, ChatRequest, _Schema
 from .errors import MalformedResponseError, NotExtractable
 from .ontology import _NAME_RE, Iri
 from .tasklib import (
@@ -103,15 +103,32 @@ def _require_input(input_text: str) -> str:
     return input_text
 
 
-def _schema_records(key: str, count: int, fields: dict) -> dict:
-    return {
+_RECORD_FIELDS = {
+    "entities": {
+        "found": {"type": "boolean"},
+        "span": {"type": ["string", "null"]},
+        "individual": {"type": ["string", "null"]},
+        "explanation": {"type": ["string", "null"]},
+    },
+    "assertions": {
+        "holds": {"type": "boolean"},
+        "justification": {"type": "string", "minLength": 1},
+    },
+}
+
+
+@functools.cache
+def _schema_records(key: str, names: tuple[str, ...]) -> _Schema:
+    """One record per name under ``key``; built once per process for each (key, names)."""
+    fields = {"name": {"enum": list(names)}, **_RECORD_FIELDS[key]}
+    schema = {
         "type": "object",
         "required": [key],
         "properties": {
             key: {
                 "type": "array",
-                "minItems": count,
-                "maxItems": count,
+                "minItems": len(names),
+                "maxItems": len(names),
                 "items": {
                     "type": "object",
                     "required": list(fields),
@@ -120,13 +137,15 @@ def _schema_records(key: str, count: int, fields: dict) -> dict:
             }
         },
     }
+    return _Schema(schema)
 
 
-def _answer_schema(reasoning: bool = False) -> dict:
+@functools.cache
+def _answer_schema(reasoning: bool) -> _Schema:
     """The schema of a label answer; CoT asks for its reasoning first."""
     properties = {"reasoning": {"type": "string", "minLength": 1}} if reasoning else {}
     properties["answer"] = {"enum": [POSITIVE_LABEL, NEGATIVE_LABEL]}
-    return {"type": "object", "required": list(properties), "properties": properties}
+    return _Schema({"type": "object", "required": list(properties), "properties": properties})
 
 
 def _system_preamble(task: TaskDefinition) -> str:
@@ -140,14 +159,14 @@ def _system_preamble(task: TaskDefinition) -> str:
 def _request(
     task: TaskDefinition,
     lines: list[str],
-    schema: dict,
+    schema: _Schema,
     step: str,
     instance_id: str,
     model: str,
     temperature: float,
 ) -> ChatRequest:
     """The envelope every prompt shares: the prompt lines, then the schema dump."""
-    lines.append(json.dumps(schema, indent=2, ensure_ascii=False))
+    lines.append(schema.prompt_dump)
     return ChatRequest(
         system=_system_preamble(task),
         user="\n".join(lines),
@@ -168,18 +187,7 @@ def build_entity_prompt(
     temperature: float = 0.0,
 ) -> ChatRequest:
     _require_input(input_text)
-    names = [spec.name for spec in task.entity_specs]
-    schema = _schema_records(
-        "entities",
-        len(names),
-        {
-            "name": {"enum": names},
-            "found": {"type": "boolean"},
-            "span": {"type": ["string", "null"]},
-            "individual": {"type": ["string", "null"]},
-            "explanation": {"type": ["string", "null"]},
-        },
-    )
+    schema = _schema_records("entities", tuple(spec.name for spec in task.entity_specs))
     lines = ["Identify the following kinds of entity in the input text."]
     for i, spec in enumerate(task.entity_specs, start=1):
         tag = "required" if spec.required else "optional"
@@ -233,16 +241,7 @@ def build_assertion_prompt(
 ) -> ChatRequest:
     _require_input(input_text)
     asked, _ = askable_specs(task, entities, complementary)
-    names = [spec.name for spec in asked]
-    schema = _schema_records(
-        "assertions",
-        len(names),
-        {
-            "name": {"enum": names},
-            "holds": {"type": "boolean"},
-            "justification": {"type": "string", "minLength": 1},
-        },
-    )
+    schema = _schema_records("assertions", tuple(spec.name for spec in asked))
     lines = ["Entities identified in the input:"]
     for spec in task.entity_specs:
         record = entities.get(spec.name)
@@ -278,7 +277,7 @@ def build_direct_prompt(
     model: str = "",
     temperature: float = 0.0,
 ) -> ChatRequest:
-    schema = _answer_schema()
+    schema = _answer_schema(False)
     lines = ["Extracted entities:"]
     for record in entities.records:
         if record.found:
@@ -312,7 +311,7 @@ def build_baseline_prompt(
     _require_input(input_text)
     if style not in (STEP_FS, STEP_COT):
         raise ValueError(f"unknown baseline style {style!r}")
-    schema = _answer_schema(reasoning=style == STEP_COT)
+    schema = _answer_schema(style == STEP_COT)
     if style == STEP_COT:
         instruction = (
             "Reason step by step about the input, then give your final answer. "

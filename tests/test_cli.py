@@ -340,6 +340,21 @@ def test_run_workers_below_1_exits_2(capsys, tmp_path, workers):
     assert not (tmp_path / "hearsay").exists()
 
 
+@pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_run_negative_or_non_finite_temperature_exits_2(capsys, tmp_path, value, source):
+    if source == "flag":
+        extra, message = ["--temperature", value], "--temperature must be finite and at least 0"
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"temperature": float(value)}), encoding="utf-8")
+        extra, message = ["--config", str(path)], "config key 'temperature' must be finite and at least 0"
+    code, _, err = run_hearsay(capsys, tmp_path, "--condition", "FS", *extra)
+    assert code == 2
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "hearsay").exists()
+
+
 def test_run_unknown_condition_exits_2(capsys, tmp_path):
     code, _, err = run_hearsay(capsys, tmp_path, "--condition", "Nope")
     assert code == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -18,6 +19,12 @@ from ruleweave.backends import (
 )
 from ruleweave.errors import MalformedResponseError, NotExtractable
 from ruleweave.extraction import (
+    AssertionExtraction,
+    AssertionRecord,
+    EntityExtraction,
+    EntityRecord,
+    _answer_schema,
+    _schema_records,
     build_assertion_prompt,
     build_baseline_prompt,
     build_direct_prompt,
@@ -369,6 +376,104 @@ def test_digest_is_stable_and_sensitive(hearsay):
     assert request.digest() != other.digest()
 
 
+def old_formula_digest(request: ChatRequest) -> str:
+    """The digest as one whole-dict dump; the cached pieces must hash these bytes."""
+    payload = json.dumps(
+        {
+            "system": request.system,
+            "user": request.user,
+            "response_schema": request.response_schema,
+            "model": request.model,
+            "instance_id": request.instance_id,
+            "step": request.step,
+            "temperature": request.temperature,
+        },
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def every_step_request(task, text=SAMPLE_TEXT, entities=None, **options) -> list[ChatRequest]:
+    """One request per step (every entity found unless ``entities`` is given), plus a repair."""
+    if entities is None:
+        entities = EntityExtraction(
+            records=tuple(
+                EntityRecord(spec.name, True, f"the {spec.name}", mint_individual("t1", spec.name), "seen")
+                for spec in task.entity_specs
+            )
+        )
+    assertions = AssertionExtraction(
+        records=tuple(AssertionRecord(spec.name, True, None, "it holds") for spec in task.assertion_specs)
+    )
+    options.setdefault("instance_id", "t1")
+    requests = [build_entity_prompt(task, text, **options)]
+    for complementary in (False, True):
+        requests.append(build_assertion_prompt(task, text, entities, complementary, **options))
+        requests.append(build_direct_prompt(task, entities, assertions, complementary, **options))
+    for style in ("fs", "cot"):
+        requests.append(build_baseline_prompt(task, text, style, [("an example", "Yes")], **options))
+    requests.append(repair_request(requests[0], MalformedResponseError("no entities array")))
+    return requests
+
+
+@pytest.mark.parametrize(
+    "text, model, temperature",
+    [
+        (SAMPLE_TEXT, "", 0),
+        (SAMPLE_TEXT, "m", 0.0),
+        (SAMPLE_TEXT, "m", 0.7),
+        ("Der Zeuge sagt: „Die Bremsen versagten“ — 証言 ✓", "modèle-ü", 0.0),
+    ],
+)
+def test_digest_hashes_the_whole_dict_dump(hearsay, text, model, temperature):
+    requests = every_step_request(hearsay, text, model=model, temperature=temperature)
+    steps = [request.step for request in requests]
+    assert steps == [
+        "entity", "assertion", "direct", "assertion_comp", "direct_comp", "fs", "cot", "entity_repair"
+    ]
+    for request in requests:
+        assert request.digest() == old_formula_digest(request), request.step
+
+
+@pytest.mark.parametrize(
+    "schema", [{"type": "object"}, {"z": [1, 2.5, None, True], "a": {"ü": "é", "b": []}}]
+)
+def test_digest_of_a_hand_built_request_hashes_the_whole_dict_dump(schema):
+    request = ChatRequest(
+        system="sys ü", user="u\n\"quoted\"", response_schema=schema, model="m", instance_id="i", step="fs"
+    )
+    assert request.digest() == old_formula_digest(request)
+
+
+def test_schema_memos_give_each_task_its_own_prompts(hearsay):
+    first = every_step_request(hearsay)
+    other = every_step_request(builtin_task("clinical_eligibility"))
+    again = every_step_request(hearsay)
+    _schema_records.cache_clear()
+    _answer_schema.cache_clear()
+    fresh = every_step_request(hearsay)
+    assert first == again == fresh
+    assert [r.digest() for r in first] == [r.digest() for r in again] == [r.digest() for r in fresh]
+    assert other[0].response_schema != first[0].response_schema
+    for request in first[:-1] + other[:-1]:  # the last of each is a repair, its note after the dump
+        assert request.user.endswith(json.dumps(request.response_schema, indent=2, ensure_ascii=False))
+
+
+def test_asked_spec_subsets_get_their_own_schema_and_dump(hearsay):
+    full, partial = (
+        build_assertion_prompt(hearsay, SAMPLE_TEXT, entities, False, instance_id="t1")
+        for entities in (parsed_entities(hearsay), parsed_entities(hearsay, entity_reply(assertion=False)))
+    )
+    assert full.response_schema != partial.response_schema
+    full_dump, partial_dump = (
+        json.dumps(request.response_schema, indent=2, ensure_ascii=False) for request in (full, partial)
+    )
+    assert full_dump != partial_dump
+    assert full.user.endswith(full_dump) and partial.user.endswith(partial_dump)
+    assert full.digest() != partial.digest()
+
+
 # -- backends -------------------------------------------------------------------
 
 
@@ -377,6 +482,7 @@ def test_parse_json_payload_variants():
     assert parse_json_payload('```json\n{"a": 1}\n```') == {"a": 1}
     assert parse_json_payload('Sure! {"a": {"b": 2}} hope that helps') == {"a": {"b": 2}}
     assert parse_json_payload("no json here") is None
+    assert parse_json_payload("```\n[1, 2]\n```") == [1, 2]
 
 
 def test_scripted_backend_missing_key():
