@@ -394,15 +394,14 @@ def old_formula_digest(request: ChatRequest) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def every_step_request(task, text=SAMPLE_TEXT, entities=None, **options) -> list[ChatRequest]:
-    """One request per step (every entity found unless ``entities`` is given), plus a repair."""
-    if entities is None:
-        entities = EntityExtraction(
-            records=tuple(
-                EntityRecord(spec.name, True, f"the {spec.name}", mint_individual("t1", spec.name), "seen")
-                for spec in task.entity_specs
-            )
+def every_step_request(task, text=SAMPLE_TEXT, **options) -> list[ChatRequest]:
+    """One request per step, with every entity found and every assertion holding, plus a repair."""
+    entities = EntityExtraction(
+        records=tuple(
+            EntityRecord(spec.name, True, f"the {spec.name}", mint_individual("t1", spec.name), "seen")
+            for spec in task.entity_specs
         )
+    )
     assertions = AssertionExtraction(
         records=tuple(AssertionRecord(spec.name, True, None, "it holds") for spec in task.assertion_specs)
     )
