@@ -141,7 +141,7 @@ def _schema_records(key: str, names: tuple[str, ...]) -> _Schema:
 
 
 @functools.cache
-def _answer_schema(reasoning: bool) -> _Schema:
+def _answer_schema(reasoning: bool = False) -> _Schema:
     """The schema of a label answer; CoT asks for its reasoning first."""
     properties = {"reasoning": {"type": "string", "minLength": 1}} if reasoning else {}
     properties["answer"] = {"enum": [POSITIVE_LABEL, NEGATIVE_LABEL]}
@@ -277,7 +277,7 @@ def build_direct_prompt(
     model: str = "",
     temperature: float = 0.0,
 ) -> ChatRequest:
-    schema = _answer_schema(False)
+    schema = _answer_schema()
     lines = ["Extracted entities:"]
     for record in entities.records:
         if record.found:
@@ -311,7 +311,7 @@ def build_baseline_prompt(
     _require_input(input_text)
     if style not in (STEP_FS, STEP_COT):
         raise ValueError(f"unknown baseline style {style!r}")
-    schema = _answer_schema(style == STEP_COT)
+    schema = _answer_schema(reasoning=style == STEP_COT)
     if style == STEP_COT:
         instruction = (
             "Reason step by step about the input, then give your final answer. "
