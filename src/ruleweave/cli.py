@@ -44,6 +44,7 @@ from .evaluation import (
     sample_dataset,
 )
 from .pipeline import (
+    CLASS_PREDICATE,
     Condition,
     load_traces,
     parse_condition,
@@ -52,6 +53,7 @@ from .pipeline import (
 from .query import execute, format_tsv, parse_query
 from .tasklib import (
     BUILTIN_TASK_IDS,
+    INSTANCE_PREFIX,
     TaskDefinition,
     builtin_task,
     builtin_task_document,
@@ -273,6 +275,7 @@ def cmd_query(args) -> int:
         raise DatasetError(f"instance {sorted(unknown)[0]!r} not present in {args.trace}")
 
     instance = None
+    owner: dict[str, str] = {}  # minted individual -> the instance that names it
 
     def triples():  # in file order; `instance` names the record being read
         nonlocal instance
@@ -282,6 +285,13 @@ def cmd_query(args) -> int:
                 if not isinstance(snapshot, list):
                     raise ValueError("abox_snapshot is not a list")
                 yield from snapshot
+                # restore_abox has checked these triples: their fields are strings
+                for name in sorted({t["subject"] for t in snapshot} | {
+                    t["object"] for t in snapshot if t["predicate"] != CLASS_PREDICATE
+                }):
+                    other = owner.setdefault(name, instance)
+                    if other != instance and name.startswith(f"{INSTANCE_PREFIX}:"):
+                        raise DatasetError(f"instances {other!r} and {instance!r} both name the individual {name}")
 
     try:
         abox = restore_abox(task.tbox, triples())

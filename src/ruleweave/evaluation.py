@@ -20,12 +20,14 @@ import random
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .backends import Backend
 from .errors import DatasetError, StatsError
+from .extraction import sanitize_local_name
 from .pipeline import (
     ALL_CONDITIONS,
     OUTCOME_ERROR,
@@ -35,7 +37,7 @@ from .pipeline import (
     evaluate_instance,
 )
 from .stats import paired_t_test
-from .tasklib import BUILTIN_TASK_IDS, NEGATIVE_LABEL, POSITIVE_LABEL, TaskDefinition
+from .tasklib import BUILTIN_TASK_IDS, INSTANCE_PREFIX, NEGATIVE_LABEL, POSITIVE_LABEL, TaskDefinition
 
 LABELS = (POSITIVE_LABEL, NEGATIVE_LABEL)
 SPLITS = ("train", "test")
@@ -445,6 +447,23 @@ def _path_part(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name) or "_"
 
 
+@lru_cache(maxsize=16)
+def _check_minted_names(entity_names: tuple[str, ...], instance_ids: tuple[str, ...]) -> None:
+    """Raise DatasetError naming two ids whose instances would mint the same
+    individual: the local names of `case_individual(id)` and of
+    `mint_individual(id, entity)` for every entity. A query over a merged
+    trace would fold the two instances' facts into that one individual."""
+    owner: dict[str, str] = {}
+    for instance in instance_ids:
+        for name in (instance, *(f"{instance}_{entity}" for entity in entity_names)):
+            local = sanitize_local_name(name)
+            other = owner.setdefault(local, instance)
+            if other != instance:
+                raise DatasetError(
+                    f"instance ids {other!r} and {instance!r} both mint the individual {INSTANCE_PREFIX}:{local}"
+                )
+
+
 def run_condition(
     task: TaskDefinition,
     dataset: Dataset,
@@ -467,6 +486,7 @@ def run_condition(
     test = sorted(dataset.test_records, key=lambda r: r.instance_id)
     if not test:
         raise DatasetError("dataset has no test records")
+    _check_minted_names(tuple(spec.name for spec in task.entity_specs), tuple(r.instance_id for r in test))
     exemplars = dataset.exemplars()
 
     def one(record: DatasetRecord) -> InstanceTrace:

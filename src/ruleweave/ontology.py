@@ -306,14 +306,6 @@ def _check_disjoint_axioms(pairs: list[tuple[Iri, Iri]], closure: dict[Iri, froz
 PairMap = dict[Iri, dict[Iri, set[Iri]]]
 
 
-def _index_pair(
-    by_subject: PairMap, by_object: PairMap, subject: Iri, prop: Iri, obj: Iri
-) -> None:
-    """Record the pair (subject, obj) of prop in both directions."""
-    by_subject.setdefault(prop, {}).setdefault(subject, set()).add(obj)
-    by_object.setdefault(prop, {}).setdefault(obj, set()).add(subject)
-
-
 def _copy_pair_map(pairs: PairMap) -> PairMap:
     return {
         prop: {term: set(others) for term, others in index.items()}
@@ -389,13 +381,29 @@ class ABox:
     def _insert_property(self, subject: Iri, prop: Iri, obj: Iri, origin: Origin) -> bool:
         if prop not in self.tbox.properties:
             raise UndeclaredError(f"property {prop} not declared in TBox")
-        self.individuals.add(subject)
-        self.individuals.add(obj)
         size = len(self.property_assertions)
         self.property_assertions.setdefault((subject, prop, obj), origin)
         if len(self.property_assertions) == size:
             return False
-        _index_pair(self.by_subject, self.by_object, subject, prop, obj)
+        self.individuals.add(subject)
+        self.individuals.add(obj)
+        # Plain gets, not setdefault, so a hit allocates no empty dict or set.
+        objects = self.by_subject.get(prop)
+        if objects is None:
+            objects = self.by_subject[prop] = {}
+        subjects = self.by_object.get(prop)
+        if subjects is None:
+            subjects = self.by_object[prop] = {}
+        known = objects.get(subject)
+        if known is None:
+            objects[subject] = {obj}
+        else:
+            known.add(obj)
+        known = subjects.get(obj)
+        if known is None:
+            subjects[obj] = {subject}
+        else:
+            known.add(subject)
         return True
 
     # -- lookups -------------------------------------------------------------

@@ -8,14 +8,15 @@ line. Nothing else: no OPTIONAL, FILTER, literals, or blank nodes.
 Class-membership patterns respect the subclass closure, and matching runs
 over asserted plus inferred facts, so a query sees exactly what the
 reasoner concluded. The patterns become class and property atoms, joined
-in written order by the chainer's own join driver, `reasoner._matches`: a
-pattern whose subject or object is a constant or an already-bound variable
-is a hash lookup in the ABox's by-subject or by-object map, not a scan. An
-unbound variable predicate or class is bound to each property or class in
-turn. Names in the query resolve through the query's own
-PREFIX table to full URLs, then back through the task's prefix table; a
-symbol that does not resolve, or resolves to an undeclared class/property,
-makes the query return no rows and logs a warning instead of raising.
+by the chainer's own planner, `reasoner._join`: each next pattern is the
+one that binds the fewest new variables, and one whose subject or object is
+a constant or a bound variable is a hash lookup in the ABox's by-subject or
+by-object map, not a scan. A variable predicate or class ranges over the
+properties or classes with facts. Names in the query resolve through the
+query's own PREFIX table to full URLs, then back through the task's prefix
+table; a symbol that does not resolve, or resolves to an undeclared
+class/property, makes the query return no rows and logs a warning instead
+of raising.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Union
 
 from .errors import QuerySyntaxError, UnsafeRuleError
 from .ontology import _NAME, _NAME_RE, ABox, Atom, ClassAtom, Iri, PropertyAtom, TBox, Variable
-from .reasoner import _matches
+from .reasoner import _join, _picker
 
 log = logging.getLogger(__name__)
 
@@ -107,9 +108,7 @@ class _Parser:
         self.position = 0
 
     def peek(self) -> Optional[Token]:
-        if self.position < len(self.tokens):
-            return self.tokens[self.position]
-        return None
+        return self.tokens[self.position] if self.position < len(self.tokens) else None
 
     def next(self, expectation: str) -> Token:
         token = self.peek()
@@ -154,13 +153,9 @@ def parse_query(text: str) -> Query:
 
     parser.expect_keyword("SELECT")
     select_vars: list[str] = []
-    while True:
-        token = parser.peek()
-        if token is not None and token.kind == "var":
-            parser.next("variable")
-            select_vars.append(token.value[1:])
-        else:
-            break
+    while (token := parser.peek()) is not None and token.kind == "var":
+        parser.next("variable")
+        select_vars.append(token.value[1:])
     if not select_vars:
         token = parser.peek()
         where = token if token else Token("", "", 1, 1)
@@ -184,11 +179,8 @@ def parse_query(text: str) -> Query:
             try:
                 return Variable(name)
             except UnsafeRuleError:
-                raise QuerySyntaxError(
-                    f"variable ?{name} must start lowercase and stay alphanumeric",
-                    token.line,
-                    token.column,
-                ) from None
+                message = f"variable ?{name} must start lowercase and stay alphanumeric"
+                raise QuerySyntaxError(message, token.line, token.column) from None
         if token.kind == "pname":
             return resolve(token)
         if allow_a and token.kind == "name" and token.value == "a":
@@ -221,15 +213,14 @@ def parse_query(text: str) -> Query:
 
     trailing = parser.peek()
     if trailing is not None:
-        raise QuerySyntaxError(
-            f"unexpected {trailing.value!r} after '}}'", trailing.line, trailing.column
-        )
+        raise QuerySyntaxError(f"unexpected {trailing.value!r} after '}}'", trailing.line, trailing.column)
 
-    bound = set()
-    for pattern in patterns:
-        for term in (pattern.subject, pattern.predicate, pattern.object):
-            if isinstance(term, Variable):
-                bound.add(term.name)
+    bound = {
+        term.name
+        for pattern in patterns
+        for term in (pattern.subject, pattern.predicate, pattern.object)
+        if isinstance(term, Variable)
+    }
     for name in select_vars:
         if name not in bound:
             raise QuerySyntaxError(f"select variable ?{name} appears in no pattern", 1, 1)
@@ -242,17 +233,12 @@ BindingRow = tuple[Iri, ...]
 
 def _to_task_iri(name: ResolvedName, tbox: TBox) -> Optional[Iri]:
     """Map a full URL back into the task's prefix table; longest base wins."""
-    candidates = []
-    for prefix, base in tbox.prefixes.items():
-        if name.url.startswith(base):
-            local = name.url[len(base):]
-            if _NAME_RE.match(local):
-                candidates.append((len(base), prefix, local))
-    if not candidates:
-        return None
-    candidates.sort(key=lambda item: (-item[0], item[1]))
-    _, prefix, local = candidates[0]
-    return Iri(prefix, local)
+    candidates = sorted(
+        (-len(base), prefix, name.url[len(base):])
+        for prefix, base in tbox.prefixes.items()
+        if name.url.startswith(base) and _NAME_RE.match(name.url[len(base):])
+    )
+    return Iri(*candidates[0][1:]) if candidates else None
 
 
 def execute(query: Query, tbox: TBox, abox: ABox) -> list[BindingRow]:
@@ -264,42 +250,27 @@ def execute(query: Query, tbox: TBox, abox: ABox) -> list[BindingRow]:
     """
     atoms: list[Atom] = []
     for pattern in query.patterns:
-        terms = []
-        for role, term in (
-            ("subject", pattern.subject),
-            ("predicate", pattern.predicate),
-            ("object", pattern.object),
-        ):
-            if isinstance(term, ResolvedName):
-                iri = _to_task_iri(term, tbox)
-                if iri is None:
-                    log.warning("query symbol %s resolves to no known namespace", term.rendered)
-                    return []
-                if role == "predicate" and iri not in tbox.properties:
-                    log.warning("query property %s not declared in TBox", iri)
-                    return []
-                if (
-                    role == "object"
-                    and pattern.predicate == CLASS_KEYWORD
-                    and iri not in tbox.classes
-                ):
-                    log.warning("query class %s not declared in TBox", iri)
-                    return []
-                terms.append(iri)
-            else:
-                terms.append(term)
+        terms = [pattern.subject, pattern.predicate, pattern.object]
+        for role, term in enumerate(terms):
+            if not isinstance(term, ResolvedName):
+                continue
+            iri = terms[role] = _to_task_iri(term, tbox)
+            if iri is None:
+                log.warning("query symbol %s resolves to no known namespace", term.rendered)
+                return []
+            if role == 1 and iri not in tbox.properties:
+                log.warning("query property %s not declared in TBox", iri)
+                return []
+            if role == 2 and pattern.predicate == CLASS_KEYWORD and iri not in tbox.classes:
+                log.warning("query class %s not declared in TBox", iri)
+                return []
         subject, predicate, obj = terms
-        if predicate == CLASS_KEYWORD:
-            atoms.append(ClassAtom(obj, subject))
-        else:
-            atoms.append(PropertyAtom(predicate, subject, obj))
+        atoms.append(ClassAtom(obj, subject) if predicate == CLASS_KEYWORD else PropertyAtom(predicate, subject, obj))
 
     # Only class atoms, variable-class ones included, read the members view.
     members = abox.members() if any(isinstance(atom, ClassAtom) for atom in atoms) else {}
-    view = (members, abox.by_subject, abox.by_object)
-    bindings = _matches(atoms, [view] * len(atoms))
-    rows = {tuple(binding[name] for name in query.select_vars) for binding in bindings}
-    return sorted(rows)
+    matched, slots = _join(atoms, (members, abox.by_subject, abox.by_object))
+    return sorted(set(map(_picker([slots[name] for name in query.select_vars], len(slots)), matched)))
 
 
 def format_tsv(query: Query, rows: list[BindingRow]) -> str:

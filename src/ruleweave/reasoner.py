@@ -13,26 +13,25 @@ as new in the first round). The test suite keeps an independent naive
 iterate-to-fixpoint oracle and checks set-equality of the inferred facts on
 randomized inputs, so the delta bookkeeping here is not trusted by fiat.
 
-Joins are hash lookups on bound terms. `_extend`, the one join kernel,
-matches a property atom whose subject is already bound (a constant, or a
-variable bound by an earlier atom) with one lookup in the ABox's
-by-subject map, one with only its object bound in the by-object map, and
-scans the property only when both ends are free. Each round's delta is
-indexed the same way. `_matches`, the one join driver, extends a list of
-partial bindings through `_extend` one atom at a time; the chainer calls
-it once per pivot atom, the query engine once per query.
+Every join runs a plan compiled once per rule (`_compile`, a memo keyed by
+the frozen rule): one per pivot atom, which reads the round's delta, the
+facts the previous round derived, as a list per predicate, or is skipped
+when its predicate got none. The other atoms follow fewest-new-variables
+first, each a step fixed when compiled: by whether each end is a constant,
+a bound slot or a new variable, it checks a pair, looks up the by-subject or
+by-object map, or scans. A partial binding is a tuple that grows by one
+slot per variable an atom binds. `_join` plans any conjunction the same way,
+with no pivot, for the query engine and task validation.
 
-Ordering guarantees, purely so `fired` logs are reproducible: rules are
-evaluated in declaration order, and a (rule, binding) pair is logged only
-when it adds a fact that was not already present. Within one rule and one
-round, the complete matches are sorted (variables by name, values by Iri)
-before any of them fires; that sort alone fixes the `fired` order, so the
-order in which partial matches are enumerated, and hence the order of the
-fact index's sets, does not matter. Each round has two phases: every rule
-is matched first, then the matches are committed in the same order. So a
-fact derived in a round is visible only in the next, which the `fired`
-order also depends on, and the store needs one write path, not a deferred
-one.
+Ordering guarantees, purely so `fired` logs are reproducible: rules run in
+declaration order, and a (rule, binding) pair is logged only when it adds a
+fact. Within one rule and one round, the complete matches are sorted by
+their values in variable-name order before any fires, so a plan's join
+order does not matter. A logged binding names its variables in the order
+they occur in the pivot and then the other atoms in declaration order, for
+the first pivot that found the match. Each round matches every rule, then
+commits the matches in that order, so a fact derived in a round is seen
+only in the next, and the store needs one write path, not a deferred one.
 Inconsistency never halts chaining; violations are collected after the
 fixpoint and reported in the result: `forward_chain` is `_fixpoint`
 followed by `check_consistency`, and task validation calls `_fixpoint` alone.
@@ -42,26 +41,25 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ontology import (
-    ABox,
-    Atom,
-    ClassAtom,
-    Inferred,
-    Iri,
-    PairMap,
-    PropertyAtom,
-    SwrlRule,
-    TBox,
-    Variable,
-    _index_pair,
+    ABox, Atom, ClassAtom, Inferred, Iri, PairMap, PropertyAtom, SwrlRule, TBox, Term, Variable, atom_variables
 )
 
 log = logging.getLogger(__name__)
 
 Binding = dict[str, Iri]
+# A partial binding: the value of each variable bound so far, by slot.
+Row = tuple[Iri, ...]
+# A view of the facts: class -> members, and the two pair maps.
+View = tuple[dict[Iri, set[Iri]], PairMap, PairMap]
+# A round's new facts: class -> members, and property -> (subject, object)s.
+Delta = tuple[dict[Iri, set[Iri]], dict[Iri, list[tuple[Iri, Iri]]]]
+Step = Callable[[list[Row], View], list[Row]]
 
 
 @dataclass
@@ -80,109 +78,159 @@ def subclass_closure(tbox: TBox) -> Mapping[Iri, frozenset[Iri]]:
     return MappingProxyType(tbox.closure)
 
 
-# A view of the facts: class -> members, and the two pair maps.
-View = tuple[dict[Iri, set[Iri]], PairMap, PairMap]
-
-_NO_PAIRS: dict[Iri, set[Iri]] = {}
-
-
-def _extend(atom: Atom, binding: Binding, view: View) -> Iterator[Binding]:
-    """All extensions of binding that satisfy atom against the given view.
-
-    A property atom whose subject is bound (a constant or a bound variable)
-    reads the by-subject map; else one whose object is bound reads the
-    by-object map; only an atom with both ends free scans the property.
-    A query's variable class or property is matched with its bound value,
-    else once per class with members or property with pairs, bound to it.
-    No rule has one: `TBox.add_rule` admits declared Iri predicates only.
-    """
-    members, by_subject, by_object = view
-    is_class = isinstance(atom, ClassAtom)
-    predicate = atom.cls if is_class else atom.prop
-    if isinstance(predicate, Variable):
-        bound = binding.get(predicate.name)
-        for value in (members if is_class else by_subject) if bound is None else (bound,):
-            if is_class:
-                ground: Atom = ClassAtom(value, atom.term)
-            else:
-                ground = PropertyAtom(value, atom.subject, atom.object)
-            extended = binding if bound is not None else {**binding, predicate.name: value}
-            yield from _extend(ground, extended, view)
-        return
-    if is_class:
-        population = members.get(atom.cls, frozenset())
-        term = atom.term
-        if isinstance(term, Variable) and term.name not in binding:
-            for individual in population:
-                extended = dict(binding)
-                extended[term.name] = individual
-                yield extended
-        else:
-            value = binding[term.name] if isinstance(term, Variable) else term
-            if value in population:
-                yield binding
-        return
-    subject, obj = atom.subject, atom.object
-    bound_subject = binding.get(subject.name) if isinstance(subject, Variable) else subject
-    bound_object = binding.get(obj.name) if isinstance(obj, Variable) else obj
-    if bound_subject is not None:
-        objects = by_subject.get(atom.prop, _NO_PAIRS).get(bound_subject, ())
-        if bound_object is not None:
-            if bound_object in objects:
-                yield binding
-            return
-        for value in objects:
-            extended = dict(binding)
-            extended[obj.name] = value
-            yield extended
-    elif bound_object is not None:
-        for value in by_object.get(atom.prop, _NO_PAIRS).get(bound_object, ()):
-            extended = dict(binding)
-            extended[subject.name] = value
-            yield extended
-    elif subject.name == obj.name:
-        for value, objects in by_subject.get(atom.prop, _NO_PAIRS).items():
-            if value in objects:
-                extended = dict(binding)
-                extended[subject.name] = value
-                yield extended
-    else:
-        for value, objects in by_subject.get(atom.prop, _NO_PAIRS).items():
-            for other in objects:
-                extended = dict(binding)
-                extended[subject.name] = value
-                extended[obj.name] = other
-                yield extended
+def _known(term: Term, slots: dict[str, int]):
+    """A row -> term reader if the term is a constant or a bound variable."""
+    if not isinstance(term, Variable):
+        return lambda row: term
+    return itemgetter(slots[term.name]) if term.name in slots else None
 
 
-def _matches(atoms: Sequence[Atom], views: Sequence[View]) -> list[Binding]:
-    """Every binding that satisfies all the atoms, atom i read against
-    views[i]: partial bindings extended breadth-first, one atom at a time."""
-    bindings: list[Binding] = [{}]
-    for atom, view in zip(atoms, views):
-        bindings = [extended for binding in bindings for extended in _extend(atom, binding, view)]
-        if not bindings:
-            break
-    return bindings
+def _kernel(key_term: Term, value_term: Term, slots: dict[str, int], reversible: bool):
+    """The join of two ends over a map key -> values and, if reversible, its
+    reverse: a check, a lookup or a scan. Gives the new variables slots."""
+    key, value = _known(key_term, slots), _known(value_term, slots)
+    for term in (key_term, value_term):
+        if isinstance(term, Variable):
+            slots.setdefault(term.name, len(slots))
+    if key and value:
+        return lambda rows, forward, reverse: [row for row in rows if value(row) in forward.get(key(row), ())]
+    if key:
+        return lambda rows, forward, reverse: [row + (v,) for row in rows for v in forward.get(key(row), ())]
+    if value and reversible:
+        return lambda rows, forward, reverse: [row + (k,) for row in rows for k in reverse.get(value(row), ())]
+    if value:  # a query's variable class of a known individual
+        return lambda rows, forward, reverse: [row + (k,) for row in rows for k, vs in forward.items() if value(row) in vs]
+    if key_term == value_term:
+        return lambda rows, forward, reverse: [row + (k,) for row in rows for k, vs in forward.items() if k in vs]
+    return lambda rows, forward, reverse: [row + (k, v) for row in rows for k, vs in forward.items() for v in vs]
 
 
-def _rule_bindings(rule: SwrlRule, full: View, delta: View) -> list[Binding]:
-    """Complete antecedent matches that touch the delta, sorted for replay."""
-    found: dict[tuple, Binding] = {}
+def _step(atom: Atom, slots: dict[str, int]) -> Step:
+    """One atom's step after the variables in slots. A class atom C(t) is the
+    pair (C, t) of the members map, so a variable class is a variable key; a
+    variable property reads the pair maps of its value in each row."""
+    if isinstance(atom, ClassAtom):
+        kernel = _kernel(atom.cls, atom.term, slots, reversible=False)
+        return lambda rows, view: kernel(rows, view[0], None)
+    prop = atom.prop
+    if not isinstance(prop, Variable):
+        kernel = _kernel(atom.subject, atom.object, slots, reversible=True)
+        return lambda rows, view: kernel(rows, view[1].get(prop, {}), view[2].get(prop, {}))
+    new, slot = prop.name not in slots, slots.setdefault(prop.name, len(slots))
+    kernel = _kernel(atom.subject, atom.object, slots, reversible=True)
+
+    def variable_property(rows: list[Row], view: View) -> list[Row]:
+        if new:
+            rows = [row + (value,) for row in rows for value in view[1]]
+        pairs = lambda row, index: view[index].get(row[slot], {})  # noqa: E731
+        return [out for row in rows for out in kernel([row], pairs(row, 1), pairs(row, 2))]
+
+    return variable_property
+
+
+def _plan(atoms: Sequence[Atom], slots: dict[str, int]) -> list[Step]:
+    """The steps that join the atoms after the variables in slots: each next
+    atom binds the fewest new variables, a property lookup before a class
+    scan, the earliest on a tie."""
+    def cost(atom: Atom) -> tuple[int, bool]:
+        terms = (atom.cls, atom.term) if isinstance(atom, ClassAtom) else (atom.prop, atom.subject, atom.object)
+        new = {term.name for term in terms if isinstance(term, Variable) and term.name not in slots}
+        return len(new), isinstance(atom, ClassAtom)
+
+    rest, steps = list(atoms), []
+    while rest:
+        steps.append(_step(rest.pop(min(range(len(rest)), key=lambda i: cost(rest[i]))), slots))
+    return steps
+
+
+def _run(steps: Sequence[Step], rows: list[Row], view: View) -> list[Row]:
+    for step in steps:
+        rows = step(rows, view)
+    return rows
+
+
+def _join(atoms: Sequence[Atom], view: View) -> tuple[list[Row], dict[str, int]]:
+    """Every row that satisfies all the atoms against the view, and the slot
+    of each variable."""
+    slots: dict[str, int] = {}
+    return _run(_plan(atoms, slots), [()], view), slots
+
+
+def _seed(atom: Atom, slots: dict[str, int]) -> Callable[[Delta], list[Row]]:
+    """The pivot's step, with nothing bound: the rows of the delta facts that
+    match the atom's constants and repeated variable."""
+    for variable in atom_variables(atom):
+        slots.setdefault(variable.name, len(slots))
+    if isinstance(atom, ClassAtom):
+        cls, term = atom.cls, atom.term
+        if isinstance(term, Variable):
+            return lambda delta: [(member,) for member in delta[0][cls]]
+        return lambda delta: [()] if term in delta[0][cls] else []
+    prop, subject, obj = atom.prop, atom.subject, atom.object
+    if isinstance(subject, Variable) and isinstance(obj, Variable):
+        if subject == obj:
+            return lambda delta: [(s,) for s, o in delta[1][prop] if s == o]
+        return lambda delta: delta[1][prop]
+    if isinstance(subject, Variable):
+        return lambda delta: [(s,) for s, o in delta[1][prop] if o == obj]
+    if isinstance(obj, Variable):
+        return lambda delta: [(o,) for s, o in delta[1][prop] if s == subject]
+    return lambda delta: [() for pair in delta[1][prop] if pair == (subject, obj)]
+
+
+def _picker(indices: Sequence[int], width: int) -> Callable[[Row], Row]:
+    """row -> its values at indices, for rows of width slots."""
+    if list(indices) == list(range(width)):
+        return tuple  # the identity on a tuple
+    if len(indices) == 1:
+        return lambda row: (row[indices[0]],)
+    return itemgetter(*indices)
+
+
+class _Pivot(NamedTuple):
+    table: int  # the delta map that has the pivot's predicate as a key
+    predicate: Iri
+    seed: Callable[[Delta], list[Row]]
+    steps: tuple[Step, ...]
+    canonical: Callable[[Row], Row]  # a plan row -> its values by variable name
+    names: tuple[str, ...]  # the `fired` key order
+    fired: Callable[[Row], Row]  # a canonical row -> its values in `names` order
+
+
+@lru_cache(maxsize=256)
+def _compile(rule: SwrlRule) -> tuple[tuple[_Pivot, ...], Callable[[Row], Row]]:
+    """One plan per pivot atom, and the head's terms from a canonical row."""
     atoms = rule.antecedent
-    views = (delta,) + (full,) * (len(atoms) - 1)
-    # The pivot atom reads the delta; the others follow in declaration order.
-    # In the first round the delta is every fact, so the first pivot finds all.
-    for pivot, atom in enumerate(atoms[:1] if delta is full else atoms):
-        for binding in _matches((atom, *atoms[:pivot], *atoms[pivot + 1:]), views):
-            found.setdefault(tuple(sorted(binding.items())), binding)
-    return [found[key] for key in sorted(found)]
+    variables = sorted({variable.name for atom in atoms for variable in atom_variables(atom)})
+    by_name = {name: index for index, name in enumerate(variables)}
+    pivots = []
+    for index, atom in enumerate(atoms):
+        others, slots = (*atoms[:index], *atoms[index + 1:]), {}
+        seed, steps = _seed(atom, slots), tuple(_plan(others, slots))
+        names = tuple(dict.fromkeys(v.name for each in (atom, *others) for v in atom_variables(each)))
+        is_class = isinstance(atom, ClassAtom)
+        pivots.append(_Pivot(
+            int(not is_class), atom.cls if is_class else atom.prop, seed, steps,
+            _picker([slots[name] for name in variables], len(variables)),
+            names, _picker([by_name[name] for name in names], len(variables)),
+        ))
+    head = rule.consequent
+    terms = (head.term,) if isinstance(head, ClassAtom) else (head.subject, head.object)
+    if all(isinstance(term, Variable) for term in terms):
+        return tuple(pivots), _picker([by_name[term.name] for term in terms], len(variables))
+    getters = [_known(term, by_name) for term in terms]
+    return tuple(pivots), lambda row: tuple(get(row) for get in getters)
 
 
-def _ground(term, binding: Binding) -> Iri:
-    if isinstance(term, Variable):
-        return binding[term.name]
-    return term
+def _rule_rows(pivots: Sequence[_Pivot], full: View, delta: Delta) -> list[tuple[Row, _Pivot]]:
+    """Complete antecedent matches that touch the delta, as canonical rows
+    with the first pivot that found each, sorted for replay."""
+    found: dict[Row, _Pivot] = {}
+    for pivot in pivots:
+        if pivot.predicate in delta[pivot.table]:
+            for row in map(pivot.canonical, _run(pivot.steps, pivot.seed(delta), full)):
+                found.setdefault(row, pivot)
+    return sorted(found.items())
 
 
 def forward_chain(tbox: TBox, abox: ABox) -> InferenceResult:
@@ -201,41 +249,45 @@ def _fixpoint(tbox: TBox, abox: ABox) -> tuple[ABox, list[tuple[str, Binding]]]:
 
     # Each round matches every rule before it writes anything, so a fact
     # derived in a round is seen only in the next. It then commits the
-    # matches in the same rule and binding order, through the store's one
-    # write path, into `work` and the class-members view. All facts count
-    # as new in the first round.
+    # matches in the same rule and row order, through the store's one write
+    # path, into `work` and the class-members view. All facts count as new
+    # in the first round, where the first pivot alone finds every match.
     full_members = work.members()
     full: View = (full_members, work.by_subject, work.by_object)
-    delta = full
-
+    delta: Delta = (full_members, {
+        prop: [(subject, obj) for subject, objects in index.items() for obj in objects]
+        for prop, index in work.by_subject.items()
+    })
+    rules = [(rule.name, rule.consequent, *_compile(rule)) for rule in tbox.rules]
     fired: list[tuple[str, Binding]] = []
 
     while delta[0] or delta[1]:  # any new class or property fact
-        matched = [(rule, _rule_bindings(rule, full, delta)) for rule in tbox.rules]
+        matched = [
+            (name, head, ground, _rule_rows(pivots[:1] if delta[0] is full_members else pivots, full, delta))
+            for name, head, pivots, ground in rules
+        ]
         next_members: dict[Iri, set[Iri]] = {}
-        next_by_subject: PairMap = {}
-        next_by_object: PairMap = {}
-        for rule, bindings in matched:
-            head = rule.consequent
-            origin = Inferred(rule.name)
-            for binding in bindings:
-                if isinstance(head, ClassAtom):
-                    individual = _ground(head.term, binding)
-                    if not work._insert_class(individual, head.cls, origin):
+        next_pairs: dict[Iri, list[tuple[Iri, Iri]]] = {}
+        for name, head, ground, rows in matched:
+            origin, derived = Inferred(name), []
+            for row, pivot in rows:
+                terms = ground(row)
+                if isinstance(head, PropertyAtom):
+                    if not work._insert_property(terms[0], head.prop, terms[1], origin):
                         continue
+                    derived.append(terms)
+                elif work._insert_class(terms[0], head.cls, origin):
                     for super_cls in closure[head.cls]:
                         known = full_members.setdefault(super_cls, set())
-                        if individual not in known:
-                            known.add(individual)
-                            next_members.setdefault(super_cls, set()).add(individual)
+                        if terms[0] not in known:
+                            known.add(terms[0])
+                            next_members.setdefault(super_cls, set()).add(terms[0])
                 else:
-                    subject = _ground(head.subject, binding)
-                    obj = _ground(head.object, binding)
-                    if not work._insert_property(subject, head.prop, obj, origin):
-                        continue
-                    _index_pair(next_by_subject, next_by_object, subject, head.prop, obj)
-                fired.append((rule.name, binding))
-        delta = (next_members, next_by_subject, next_by_object)
+                    continue
+                fired.append((name, dict(zip(pivot.names, pivot.fired(row)))))
+            if derived:
+                next_pairs.setdefault(head.prop, []).extend(derived)
+        delta = (next_members, next_pairs)
     return work, fired
 
 

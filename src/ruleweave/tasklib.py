@@ -37,7 +37,7 @@ from .errors import (
     UnsafeRuleError,
 )
 from .ontology import _NAME, _NAME_RE, Atom, ClassAtom, Iri, PropertyAtom, SwrlRule, TBox, Variable, atom_terms
-from .reasoner import _fixpoint, _matches
+from .reasoner import _fixpoint, _join
 
 SD_PREFIX = "sd"
 SD_URL = "http://example.org/sd#"
@@ -452,7 +452,7 @@ def _check_maximal_instance(task: TaskDefinition) -> None:
         for i, rule in unfired:
             atoms = rule.antecedent
             for k, atom in enumerate(atoms, start=1):
-                if not _matches(atoms[:k], (view,) * k):
+                if not _join(atoms[:k], view)[0]:
                     raise _fail(f"rules[{i}]", f"rule {rule.name!r} never fires: no instance matches "
                                 f"its antecedent up to atom {atom}")
     if not abox.is_member(individual[task.target_entity], task.target_class):

@@ -383,6 +383,24 @@ def test_run_missing_dataset_exits_4(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "ids",
+    [("a-1", "a_1"), ("t01", "t01_Statement")],
+    ids=["same-sanitized-id", "case-equals-entity"],
+)
+def test_run_rejects_ids_that_mint_one_individual(capsys, tmp_path, ids):
+    # a-1 and a_1 both mint inst:a_1_Statement; the case individual of
+    # t01_Statement is t01's Statement entity, inst:t01_Statement.
+    lines = [{"id": i, "text": "a remark", "label": "No", "split": "test"} for i in ids]
+    path = tmp_path / "hearsay.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    code, _, err = run_hearsay(capsys, tmp_path / "out", "--dataset", str(path))
+    assert code == 4
+    assert err.startswith("dataset error:")
+    assert all(repr(i) in err for i in ids)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "config, key",
     [
         ({"rpm": "60"}, "rpm"),
@@ -531,6 +549,23 @@ def test_query_needs_reasoner_traces(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["query", "--trace", trace, "--query", HEARSAY_CLASS_QUERY])
     assert code == 4
     assert "snapshot" in err
+
+
+def test_query_rejects_two_records_that_name_one_individual(capsys, tmp_path):
+    trace = sd_trace(capsys, tmp_path)
+    lines = open(trace, encoding="utf-8").read().splitlines()
+    record = json.loads(next(line for line in lines if '"instance_id": "t01"' in line))
+    copy = json.dumps({**record, "instance_id": "t01copy"})  # same snapshot, so same names
+    with open(trace, "a", encoding="utf-8") as handle:
+        handle.write(copy + "\n")
+    code, _, err = run_cli(capsys, ["query", "--trace", trace, "--query", HEARSAY_CLASS_QUERY])
+    assert code == 4
+    assert err.startswith("dataset error:")
+    assert err == "dataset error: instances 't01' and 't01copy' both name the individual inst:t01\n"
+    argv = ["query", "--trace", trace, "--query", HEARSAY_CLASS_QUERY, "--instance", "t01copy"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == "?s\ninst:t01_Statement\n"
 
 
 def test_query_unknown_instance_exits_4(capsys, tmp_path):

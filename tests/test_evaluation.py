@@ -401,6 +401,20 @@ def test_run_condition_empty_test_split():
         run_condition(task, ds, Condition.SD, ScriptedBackend({}))
 
 
+class _NoCallBackend:
+    def complete(self, request):
+        raise AssertionError("the id check must run before any backend call")
+
+
+@pytest.mark.parametrize("ids", [("a-1", "a_1"), ("t01", "t01_Statement"), ("1", "_1")])
+def test_run_condition_rejects_colliding_minted_names_before_any_call(ids):
+    task = builtin_task("hearsay")
+    ds = Dataset(task_id="hearsay", records=tuple(DatasetRecord(i, "text", "No", "test") for i in ids))
+    with pytest.raises(DatasetError, match="both mint the individual inst:") as caught:
+        run_condition(task, ds, Condition.SD, _NoCallBackend())
+    assert all(repr(i) in str(caught.value) for i in ids)
+
+
 # -- report emission -------------------------------------------------------------------
 
 

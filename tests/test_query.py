@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import re
 
 import pytest
 
@@ -310,6 +312,39 @@ def test_bound_term_patterns_match_brute_force_oracle():
         )
         query = parse_query(text)
         assert execute(query, tbox, abox) == brute_force_query(query, tbox, abox), text
+        checked += 1
+
+
+def test_execute_rows_do_not_depend_on_pattern_order():
+    """Every order of a 2- or 3-pattern query, variable predicates and
+    classes included, returns the brute-force rows, over random ABoxes
+    before and after chaining."""
+    prefixes = "PREFIX t: <http://example.org/t#> PREFIX i: <http://example.org/i#> "
+    rng = random.Random(1618)
+
+    def end() -> str:
+        return rng.choice(["?x", "?x", "?y", "?y", "?z"]) if rng.random() < 0.9 else f"i:x{rng.randrange(8)}"
+
+    def pattern(tbox: TBox) -> str:
+        if rng.random() < 0.3:
+            return f"{end()} a {rng.choice(['?c', f't:C{rng.randrange(len(tbox.classes))}'])}"
+        predicate = "?p" if rng.random() < 0.3 else f"t:p{rng.randrange(len(tbox.properties))}"
+        return f"{end()} {predicate} {end()}"
+
+    checked = 0
+    while checked < 150:
+        tbox, abox = random_instance(rng)
+        if not tbox.properties:
+            continue
+        patterns = [pattern(tbox) for _ in range(rng.randint(2, 3))]
+        variables = list(dict.fromkeys(re.findall(r"\?[a-z]", " ".join(patterns))))
+        if not variables or len(variables) > 3:  # keeps the brute force small
+            continue
+        select = f"{prefixes}SELECT {' '.join(variables)} WHERE {{ "
+        queries = [parse_query(select + " . ".join(order) + " . }") for order in itertools.permutations(patterns)]
+        for facts in (abox, forward_chain(tbox, abox).abox):
+            expected = brute_force_query(queries[0], tbox, facts)
+            assert all(execute(query, tbox, facts) == expected for query in queries), patterns
         checked += 1
 
 

@@ -32,7 +32,7 @@ from ruleweave.reasoner import (
 
 from ruleweave.pipeline import snapshot_abox
 
-from .oracles import oracle_closure, random_instance, run_equivalence_batch
+from .oracles import assert_engine_matches_oracle, oracle_closure, random_instance, run_equivalence_batch
 
 S = Iri("h", "Statement")
 OOC = Iri("h", "OutOfCourtStatement")
@@ -369,6 +369,61 @@ def test_monotone_adding_facts_never_removes_inferences():
 
 def test_engine_equals_naive_oracle_on_random_instances():
     run_equivalence_batch(seed=99, cases=150)
+
+
+# -- pivot shapes in later rounds -----------------------------------------------
+
+T_C, T_D, T_E = Iri("t", "C"), Iri("t", "D"), Iri("t", "E")
+T_P, T_Q = Iri("t", "p"), Iri("t", "q")
+IA, IB, IC = Iri("i", "a"), Iri("i", "b"), Iri("i", "c")
+X, Y = Variable("x"), Variable("y")
+
+
+@pytest.mark.parametrize(
+    "antecedent, consequent, facts, fired",
+    [
+        # a constant object: the pivot q(?x, i:b) filters the delta by object
+        (
+            (PropertyAtom(T_Q, X, IB), ClassAtom(T_E, X)),
+            ClassAtom(T_C, X),
+            [(IA, IB), (IC, IB), (IA, IC)],
+            [{"x": IA}],
+        ),
+        # a constant subject
+        ((PropertyAtom(T_Q, IA, Y),), ClassAtom(T_C, Y), [(IA, IB), (IA, IC), (IB, IC)], [{"y": IB}, {"y": IC}]),
+        # the same variable on both ends
+        ((PropertyAtom(T_Q, X, X),), ClassAtom(T_C, X), [(IA, IA), (IA, IB), (IC, IC)], [{"x": IA}, {"x": IC}]),
+        # a class atom with a constant, whose fact `mark` derives in round 1
+        (
+            (ClassAtom(T_D, IA), PropertyAtom(T_P, X, Y)),
+            PropertyAtom(T_Q, Y, X),
+            [(IA, IB), (IB, IC)],
+            [{"x": IA, "y": IB}, {"x": IB, "y": IC}],
+        ),
+    ],
+    ids=["constant-object", "constant-subject", "same-variable", "class-constant"],
+)
+def test_later_round_pivot_shapes_fire_and_match_the_oracle(antecedent, consequent, facts, fired):
+    # `copy` derives every q fact and `mark` every D fact in round 1, so the
+    # rule under test can match only from round 2, through a pivot on q or D
+    # that reads that round's delta.
+    tbox = TBox({"t": "http://example.org/t#", "i": "http://example.org/i#"})
+    for cls in (T_C, T_D, T_E):
+        tbox.declare_class(cls)
+    for prop in (T_P, T_Q):
+        tbox.declare_property(prop)
+    tbox.add_rule(SwrlRule("copy", (PropertyAtom(T_P, X, Y),), PropertyAtom(T_Q, X, Y)))
+    tbox.add_rule(SwrlRule("mark", (ClassAtom(T_E, X),), ClassAtom(T_D, X)))
+    tbox.add_rule(SwrlRule("shape", antecedent, consequent))
+    abox = ABox(tbox)
+    abox.assert_class(IA, T_E, "seed")
+    for subject, obj in facts:
+        abox.assert_property(subject, T_P, obj, "seed")
+    result = forward_chain(tbox, abox)
+    names = [name for name, _ in result.fired]
+    assert names == sorted(names, key=lambda name: name == "shape")  # later rounds only
+    assert [list(b.items()) for name, b in result.fired if name == "shape"] == [list(b.items()) for b in fired]
+    assert_engine_matches_oracle(tbox, abox)
 
 
 # -- consistency ---------------------------------------------------------------
