@@ -14,8 +14,8 @@ iterate-to-fixpoint oracle and checks set-equality of the inferred facts on
 randomized inputs, so the delta bookkeeping here is not trusted by fiat.
 
 Every join runs a plan compiled once per rule (`_compile`, a memo keyed by
-the frozen rule): one per pivot atom, which reads the round's delta, the
-facts the previous round derived, as a list per predicate, or is skipped
+the frozen rule): one per pivot atom, which reads the round's delta (the
+new members of each class, the new pairs of each property) or is skipped
 when its predicate got none. The other atoms follow fewest-new-variables
 first, each a step fixed when compiled: by whether each end is a constant,
 a bound slot or a new variable, it checks a pair, looks up the by-subject or
@@ -139,7 +139,8 @@ def _plan(atoms: Sequence[Atom], slots: dict[str, int]) -> list[Step]:
 
     rest, steps = list(atoms), []
     while rest:
-        steps.append(_step(rest.pop(min(range(len(rest)), key=lambda i: cost(rest[i]))), slots))
+        index = min(range(len(rest)), key=lambda i: cost(rest[i]))
+        steps.append(_step(rest.pop(index), slots))
     return steps
 
 
