@@ -46,6 +46,7 @@ from .evaluation import (
 from .pipeline import (
     CLASS_PREDICATE,
     Condition,
+    iter_traces,
     load_traces,
     parse_condition,
     restore_abox,
@@ -260,7 +261,14 @@ def cmd_query(args) -> int:
         query_text = args.query
     query = parse_query(query_text)
 
-    header, records = load_traces(args.trace)
+    # Every line is read and checked before anything else, but only each
+    # record's snapshot is kept, so the rest of the record is freed at once.
+    header, snapshots = None, []
+    for record in iter_traces(args.trace):
+        if record["type"] == "header":
+            header = record
+        else:
+            snapshots.append((record["instance_id"], record.get("abox_snapshot")))
     if args.task:
         task = load_task(_task_document(args.task))
     elif header.get("task") in BUILTIN_TASK_IDS:
@@ -270,7 +278,7 @@ def cmd_query(args) -> int:
             f"trace file is for task {header.get('task')!r}; pass --task with its document"
         )
     wanted = set(args.instance or [])
-    unknown = wanted - {r["instance_id"] for r in records}
+    unknown = wanted - {instance for instance, _ in snapshots}
     if unknown:
         raise DatasetError(f"instance {sorted(unknown)[0]!r} not present in {args.trace}")
 
@@ -279,8 +287,7 @@ def cmd_query(args) -> int:
 
     def triples():  # in file order; `instance` names the record being read
         nonlocal instance
-        for record in records:
-            instance, snapshot = record["instance_id"], record.get("abox_snapshot")
+        for instance, snapshot in snapshots:
             if snapshot is not None and (not wanted or instance in wanted):
                 if not isinstance(snapshot, list):
                     raise ValueError("abox_snapshot is not a list")

@@ -37,6 +37,7 @@ from .errors import (
 # The one grammar of a prefix, local name or task-level name.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME + r"\Z")
+_IRI_RE = re.compile(f"({_NAME}):({_NAME})\\Z")
 _VAR_RE = re.compile(r"[a-z][A-Za-z0-9]*\Z")
 
 JUSTIFICATION_LIMIT = 4096  # UTF-8 bytes
@@ -45,6 +46,8 @@ _TRUNCATION_MARKER = "...[truncated]"
 
 def truncate_justification(text: str) -> str:
     """Cap a justification at JUSTIFICATION_LIMIT bytes, marking the cut."""
+    if text.isascii() and len(text) <= JUSTIFICATION_LIMIT:
+        return text  # one byte per character; other text is encoded, so a lone surrogate raises
     raw = text.encode("utf-8")
     if len(raw) <= JUSTIFICATION_LIMIT:
         return text
@@ -82,8 +85,11 @@ class Iri(namedtuple("Iri", ("prefix", "local"))):
     def parse(cls, text: str) -> "Iri":
         if not isinstance(text, str) or ":" not in text:
             raise IriError(f"expected prefix:Local, got {text!r}")
+        match = _IRI_RE.match(text)
+        if match is not None:  # both names already match the grammar `__new__` checks
+            return tuple.__new__(cls, match.groups())
         prefix, local = text.split(":", 1)
-        return cls(prefix, local)
+        return cls(prefix, local)  # raises the IriError that names the bad part
 
 
 @dataclass(frozen=True, order=True)
@@ -205,6 +211,7 @@ class TBox:
         self.subclass_axioms: list[tuple[Iri, Iri]] = []
         self.disjoint_axioms: list[tuple[Iri, Iri]] = []
         self.rules: list[SwrlRule] = []
+        self._plans = None  # the reasoner's compiled `rules`; add_rule clears it
         # Reflexive-transitive superclass map, swapped in whole only after a
         # mutation's checks pass, so reads never write and need no lock.
         self.closure: dict[Iri, frozenset[Iri]] = {}
@@ -266,6 +273,7 @@ class TBox:
                         f"rule {rule.name!r} uses undeclared property {atom.prop}"
                     )
         self.rules.append(rule)
+        self._plans = None
 
     def _require_iri(self, iri: Iri) -> None:
         if not isinstance(iri, Iri):
@@ -411,7 +419,10 @@ class ABox:
     def is_member(self, individual: Iri, cls: Iri) -> bool:
         """Membership with subclass closure over recorded classes."""
         closure = self.tbox.closure
-        return any(cls in closure[direct] for direct in self.direct_classes.get(individual, ()))
+        for direct in self.direct_classes.get(individual, ()):
+            if cls in closure[direct]:
+                return True
+        return False
 
     def members(self) -> dict[Iri, set[Iri]]:
         """Class -> individuals recorded in it or in any of its subclasses."""

@@ -20,9 +20,10 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .backends import Backend, ChatRequest
 from .errors import BackendError, ConfigError, MalformedResponseError, NotExtractable
@@ -142,7 +143,8 @@ def snapshot_abox(abox: ABox) -> list[dict]:
     ]
 
 
-_TRIPLE_FIELDS = ("subject", "predicate", "object", "origin")
+_triple_fields = operator.itemgetter("subject", "predicate", "object", "origin")
+_NO_FIELDS = (None,) * 4
 _ORIGIN_KINDS = {_ASSERTED: Asserted, _INFERRED: Inferred}
 
 
@@ -156,32 +158,37 @@ def _decode_origin(origin: str) -> Optional[Origin]:
 def restore_abox(tbox: TBox, snapshot: Iterable[dict]) -> ABox:
     """Rebuild an ABox from snapshot triples, keeping each triple's origin.
     Each triple is checked and then restored, in one walk, so the first
-    faulty triple in order decides the error. A triple that is not an object
-    with string subject, predicate, object and origin, or whose origin is of
+    faulty triple in order decides the error. A triple that is not a dict
+    with str subject, predicate, object and origin, or whose origin is of
     neither form "asserted:<justification>" nor "inferred:<rule>" with a
     non-empty remainder, raises ValueError("malformed snapshot triple ...");
     a non-string field is such a ValueError, not an IriError. A malformed
-    name string raises IriError and an undeclared class or property raises
-    UndeclaredError, before the triple is inserted; only asserted property
+    name string raises IriError, an undeclared class or property
+    UndeclaredError and a justification UTF-8 cannot encode
+    UnicodeEncodeError, before the triple is inserted; only asserted property
     triples get domain and range checks. Each distinct name and origin string
     is decoded once per call, and no cache outlives the call."""
     abox = ABox(tbox)
     # functools.cache keeps no result for a call that raised: a bad name raises again
     name, decode_origin = functools.cache(Iri.parse), functools.cache(_decode_origin)
+    insert_class, insert_property, check_property = abox._insert_class, abox._insert_property, abox._check_property
     for triple in snapshot:
-        fields = tuple(map(triple.get, _TRIPLE_FIELDS)) if isinstance(triple, dict) else (None,)
+        try:
+            subject, predicate, obj, text = _triple_fields(triple) if isinstance(triple, dict) else _NO_FIELDS
+        except KeyError:
+            subject = predicate = obj = text = None
         # a missing or non-string field leaves no origin, so the test below fails
-        origin = decode_origin(fields[-1] if all(isinstance(value, str) for value in fields) else "")
+        strings = isinstance(subject, str) and isinstance(predicate, str) and isinstance(obj, str)
+        origin = decode_origin(text) if strings and isinstance(text, str) else None
         if origin is None:
             raise ValueError(f"malformed snapshot triple {triple!r}")
-        subject, predicate, obj, _ = fields
         if predicate == CLASS_PREDICATE:
-            abox._insert_class(name(subject), name(obj), origin)
+            insert_class(name(subject), name(obj), origin)
             continue
         fact = (name(subject), name(predicate), name(obj))
         if isinstance(origin, Asserted):
-            abox._check_property(*fact)
-        abox._insert_property(*fact, origin)
+            check_property(*fact)
+        insert_property(*fact, origin)
     return abox
 
 
@@ -326,10 +333,12 @@ def _check_fields(record: dict, fields: dict, where: str) -> None:
             raise ValueError(f"{where}: {record['type']} field {name!r} has the wrong type")
 
 
-def load_traces(path) -> tuple[dict, list[dict]]:
-    """Read a trace file; any malformed line raises ValueError naming path:line."""
-    header = None
-    records = []
+def iter_traces(path) -> Iterator[dict]:
+    """Yield each record of a trace file in file order, the header included,
+    once its line is a JSON object of a known type with that type's fields.
+    A malformed line raises ValueError naming path:line when it is reached,
+    and a file without a header raises ValueError after its last line."""
+    header = False
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -344,12 +353,23 @@ def load_traces(path) -> tuple[dict, list[dict]]:
                 raise ValueError(f"{where}: a trace line must be a JSON object")
             if record.get("type") == "header":
                 _check_fields(record, _HEADER_FIELDS, where)
-                header = record
+                header = True
             elif record.get("type") == "instance":
                 _check_fields(record, _INSTANCE_FIELDS, where)
-                records.append(record)
             else:
                 raise ValueError(f"{where}: unknown trace record type")
-    if header is None:
+            yield record
+    if not header:
         raise ValueError(f"{path}: missing header line")
+
+
+def load_traces(path) -> tuple[dict, list[dict]]:
+    """A whole trace file through iter_traces: its last header and its
+    instance records in file order."""
+    header, records = None, []
+    for record in iter_traces(path):
+        if record["type"] == "header":
+            header = record
+        else:
+            records.append(record)
     return header, records

@@ -13,15 +13,16 @@ as new in the first round). The test suite keeps an independent naive
 iterate-to-fixpoint oracle and checks set-equality of the inferred facts on
 randomized inputs, so the delta bookkeeping here is not trusted by fiat.
 
-Every join runs a plan compiled once per rule (`_compile`, a memo keyed by
-the frozen rule): one per pivot atom, which reads the round's delta (the
-new members of each class, the new pairs of each property) or is skipped
-when its predicate got none. The other atoms follow fewest-new-variables
-first, each a step fixed when compiled: by whether each end is a constant,
-a bound slot or a new variable, it checks a pair, looks up the by-subject or
-by-object map, or scans. A partial binding is a tuple that grows by one
-slot per variable an atom binds. `_join` plans any conjunction the same way,
-with no pivot, for the query engine and task validation.
+Every join runs a plan compiled once per rule (`_compile`, kept on the TBox
+until its next `add_rule`): one per pivot atom, which reads the round's
+delta (the new members of each class, the new pairs of each property) or is
+skipped when its predicate got none. The other atoms follow
+fewest-new-variables first, each a step fixed when compiled: by whether each
+end is a constant, a bound slot or a new variable, it checks a pair, looks
+up the by-subject or by-object map, or scans. A partial binding is a tuple
+that grows by one slot per variable an atom binds. `_join` plans any
+conjunction the same way, with no pivot, for the query engine and task
+validation.
 
 Ordering guarantees, purely so `fired` logs are reproducible: rules run in
 declaration order, and a (rule, binding) pair is logged only when it adds a
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -198,7 +198,6 @@ class _Pivot(NamedTuple):
     fired: Callable[[Row], Row]  # a canonical row -> its values in `names` order
 
 
-@lru_cache(maxsize=256)
 def _compile(rule: SwrlRule) -> tuple[tuple[_Pivot, ...], Callable[[Row], Row]]:
     """One plan per pivot atom, and the head's terms from a canonical row."""
     atoms = rule.antecedent
@@ -259,7 +258,9 @@ def _fixpoint(tbox: TBox, abox: ABox) -> tuple[ABox, list[tuple[str, Binding]]]:
         prop: [(subject, obj) for subject, objects in index.items() for obj in objects]
         for prop, index in work.by_subject.items()
     })
-    rules = [(rule.name, rule.consequent, *_compile(rule)) for rule in tbox.rules]
+    rules = tbox._plans  # compiled on the TBox's first chaining since its last add_rule
+    if rules is None:
+        rules = tbox._plans = [(rule.name, rule.consequent, *_compile(rule)) for rule in tbox.rules]
     fired: list[tuple[str, Binding]] = []
 
     while delta[0] or delta[1]:  # any new class or property fact

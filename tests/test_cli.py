@@ -644,6 +644,7 @@ _TRIPLE = {"subject": "inst:t01_s", "predicate": "a", "object": "h:Hearsay", "or
         ([{**_TRIPLE, "origin": "bogus"}], "malformed snapshot triple"),
         ([{**_TRIPLE, "origin": "asserted:"}], "malformed snapshot triple"),
         ([{**_TRIPLE, "origin": "inferred:"}], "malformed snapshot triple"),
+        ([{**_TRIPLE, "origin": "asserted:\ud800"}], "can't encode character '\\ud800'"),
     ],
     ids=[
         "triple-without-origin",
@@ -653,6 +654,7 @@ _TRIPLE = {"subject": "inst:t01_s", "predicate": "a", "object": "h:Hearsay", "or
         "origin-of-no-kind",
         "asserted-without-justification",
         "inferred-without-rule",
+        "justification-utf8-cannot-encode",
     ],
 )
 def test_malformed_snapshot_exits_4(capsys, tmp_path, snapshot, message):
@@ -687,6 +689,26 @@ def test_query_reports_the_first_faulty_triple_in_file_order(capsys, tmp_path, i
     code, _, err = run_cli(capsys, ["query", "--trace", str(path), "--query", HEARSAY_CLASS_QUERY])
     assert code == 2
     assert err.startswith("ontology error: class h:Nope")
+
+
+def test_query_checks_every_line_before_it_restores(capsys, tmp_path):
+    path = tmp_path / "traces.jsonl"
+    bad = {**_INSTANCE, "abox_snapshot": [_BAD_SUBJECT]}
+    lines = [_HEADER, bad, {**_INSTANCE, "instance_id": "t02"}, {**_INSTANCE, "instance_id": "t03"}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines) + '{"type": "instance",\n', encoding="utf-8")
+    code, _, err = run_cli(capsys, ["query", "--trace", str(path), "--query", HEARSAY_CLASS_QUERY])
+    assert code == 4
+    assert err.startswith(f"data error: {path}:5: invalid JSON")
+
+
+def test_query_reports_an_unknown_instance_before_a_restore_error(capsys, tmp_path):
+    path = tmp_path / "traces.jsonl"
+    lines = [_HEADER, {**_INSTANCE, "abox_snapshot": [_BAD_SUBJECT]}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    argv = ["query", "--trace", str(path), "--query", HEARSAY_CLASS_QUERY, "--instance", "zz"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 4
+    assert err == f"dataset error: instance 'zz' not present in {path}\n"
 
 
 # Replacement values for one field of one snapshot triple: empty, malformed

@@ -62,6 +62,21 @@ def test_iri_rejects_malformed(text):
         Iri.parse(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a:b:c", "bad local name in 'a':'b:c'"),
+        (":x", "bad prefix in '':'x'"),
+        ("x:", "bad local name in 'x':''"),
+        ("x", "expected prefix:Local, got 'x'"),
+    ],
+)
+def test_iri_parse_error_names_the_bad_part(text, message):
+    with pytest.raises(IriError) as raised:
+        Iri.parse(text)
+    assert str(raised.value) == message
+
+
 def test_iri_equality_is_case_sensitive():
     assert Iri("h", "statement") != Iri("h", "Statement")
 
@@ -388,6 +403,15 @@ def test_justification_truncated_at_4k():
     assert len(capped.encode("utf-8")) <= 4096
     assert capped.endswith("...[truncated]")
     assert truncate_justification("short") == "short"
+
+
+def test_justification_truncation_at_the_byte_limit():
+    assert truncate_justification("x" * 4096) == "x" * 4096
+    assert truncate_justification("x" * 4097) == "x" * 4082 + "...[truncated]"
+    # 1,100 four-byte characters are 4,400 bytes: 4,082 bytes keep 1,020 whole ones
+    assert truncate_justification("\U0001F600" * 1100) == "\U0001F600" * 1020 + "...[truncated]"
+    with pytest.raises(UnicodeEncodeError):
+        truncate_justification("\ud800")
 
 
 def test_abox_copy_is_independent():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from types import MappingProxyType
 from importlib import resources
 
 import pytest
@@ -540,12 +541,35 @@ _TRIPLE = {
         [1, 2],
         "abc",
         {**_TRIPLE, "subject": 7},
+        MappingProxyType(_TRIPLE),
     ],
-    ids=["origin-not-a-string", "triple-without-object", "list", "string", "subject-not-a-string"],
+    ids=[
+        "origin-not-a-string",
+        "triple-without-object",
+        "list",
+        "string",
+        "subject-not-a-string",
+        "mapping-that-is-not-a-dict",
+    ],
 )
 def test_restore_rejects_a_malformed_triple(hearsay, triple):
     with pytest.raises(ValueError, match="malformed snapshot triple"):
         restore_abox(hearsay.tbox, [triple])
+
+
+def test_restore_accepts_fields_of_a_str_subclass(hearsay):
+    class Name(str):
+        pass
+
+    entities, assertions = extractions(hearsay)
+    snapshot = snapshot_abox(forward_chain(hearsay.tbox, populate_abox(hearsay, "t1", entities, assertions)).abox)
+    wrapped = [{key: Name(value) for key, value in triple.items()} for triple in snapshot]
+    assert restore_abox(hearsay.tbox, wrapped) == restore_abox(hearsay.tbox, snapshot)
+
+
+def test_restore_raises_for_a_justification_that_utf8_cannot_encode(hearsay):
+    with pytest.raises(UnicodeEncodeError):
+        restore_abox(hearsay.tbox, [{**_TRIPLE, "origin": "asserted:\ud800"}])
 
 
 def _restore_outcome(restore, tbox, snapshot):

@@ -13,6 +13,7 @@ import pytest
 
 import ruleweave
 
+from ruleweave import reasoner
 from ruleweave.ontology import (
     ABox,
     ClassAtom,
@@ -424,6 +425,30 @@ def test_later_round_pivot_shapes_fire_and_match_the_oracle(antecedent, conseque
     assert names == sorted(names, key=lambda name: name == "shape")  # later rounds only
     assert [list(b.items()) for name, b in result.fired if name == "shape"] == [list(b.items()) for b in fired]
     assert_engine_matches_oracle(tbox, abox)
+
+
+def test_a_tbox_compiles_its_rules_once_until_a_rule_is_added(monkeypatch):
+    # More rules than the 256 a process-wide memo of compiled rules once held.
+    tbox = TBox({"t": "http://example.org/t#"})
+    chain = [Iri("t", f"C{index}") for index in range(262)]
+    for cls in chain:
+        tbox.declare_class(cls)
+    for index in range(260):
+        tbox.add_rule(SwrlRule(f"r{index}", (ClassAtom(chain[index], X),), ClassAtom(chain[index + 1], X)))
+    abox = ABox(tbox)
+    abox.assert_class(IA, chain[0], "seed")
+    compiled = []
+    compile_rule = reasoner._compile
+    monkeypatch.setattr(reasoner, "_compile", lambda rule: compiled.append(rule) or compile_rule(rule))
+    first = forward_chain(tbox, abox)
+    assert len(compiled) == 260
+    second = forward_chain(tbox, abox)
+    assert len(compiled) == 260  # the second call compiles nothing
+    assert second.abox == first.abox and second.fired == first.fired
+    assert_engine_matches_oracle(tbox, abox)
+    tbox.add_rule(SwrlRule("r260", (ClassAtom(chain[260], X),), ClassAtom(chain[261], X)))
+    assert (IA, chain[261]) in forward_chain(tbox, abox).abox.class_assertions
+    assert len(compiled) == 521
 
 
 # -- consistency ---------------------------------------------------------------
