@@ -6,10 +6,11 @@ The ABox holds individuals plus class-membership and property assertions,
 each tagged with an origin: either Asserted (carrying a natural-language
 justification) or Inferred (carrying the rule name that produced it).
 
-Identifiers are short prefix:Local pairs, each an Iri: a (prefix, local)
-tuple whose constructor checks both names, so copies, pickles and the
-namedtuple helpers pass the same checks. A prefix table maps prefixes to
-base URLs only when something needs full URLs (queries, serialization).
+Identifiers are short prefix:Local names, each an Iri: a str subclass whose
+value is "prefix:Local" and whose constructor checks both names, so copies
+and pickles pass the same checks, and JSON, TSV and the in-memory ABox hold
+one string. A prefix table maps prefixes to base URLs only when something
+needs full URLs (queries, serialization).
 
 One deliberate deviation from OWL semantics: declared property domains and
 ranges are validated eagerly when an assertion is added through the public
@@ -20,7 +21,6 @@ the offending assertion rather than as downstream misclassification.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -37,7 +37,7 @@ from .errors import (
 # The one grammar of a prefix, local name or task-level name.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME + r"\Z")
-_IRI_RE = re.compile(f"({_NAME}):({_NAME})\\Z")
+_IRI_RE = re.compile(f"{_NAME}:{_NAME}\\Z")
 _VAR_RE = re.compile(r"[a-z][A-Za-z0-9]*\Z")
 
 JUSTIFICATION_LIMIT = 4096  # UTF-8 bytes
@@ -56,10 +56,13 @@ def truncate_justification(text: str) -> str:
     return clipped + _TRUNCATION_MARKER
 
 
-class Iri(namedtuple("Iri", ("prefix", "local"))):
-    """A prefix:Local identifier: a validated (prefix, local) tuple, so it
-    equals, hashes and orders as that tuple. The (prefix, local) order is
-    used anywhere the package promises deterministic iteration."""
+class Iri(str):
+    """A prefix:Local identifier: the string "prefix:Local", built only after
+    both names pass the name grammar, so it equals, hashes and orders as that
+    string. That order is used anywhere the package promises deterministic
+    iteration; it is the (prefix, local) order except where one prefix is a
+    proper prefix of another and the longer goes on with a digit, because ":"
+    sorts after the digits ("e2:x" < "e:x")."""
 
     __slots__ = ()
 
@@ -68,26 +71,29 @@ class Iri(namedtuple("Iri", ("prefix", "local"))):
             raise IriError(f"bad prefix in {prefix!r}:{local!r}")
         if not local or not _NAME_RE.match(local):
             raise IriError(f"bad local name in {prefix!r}:{local!r}")
-        return super().__new__(cls, prefix, local)
+        return super().__new__(cls, f"{prefix}:{local}")
 
-    # Else `_make`, `_replace` and protocol 0/1 pickles would skip `__new__`.
-    @classmethod
-    def _make(cls, iterable) -> "Iri":
-        return cls(*iterable)
+    @property
+    def prefix(self) -> str:
+        return self.partition(":")[0]
 
+    @property
+    def local(self) -> str:
+        return self.partition(":")[2]
+
+    def __repr__(self) -> str:
+        return f"Iri(prefix={self.prefix!r}, local={self.local!r})"
+
+    # Every pickle protocol rebuilds through `__new__`, so a tampered name is refused.
     def __reduce__(self):
-        return (Iri, tuple(self))
-
-    def __str__(self) -> str:
-        return f"{self.prefix}:{self.local}"
+        return (Iri, (self.prefix, self.local))
 
     @classmethod
     def parse(cls, text: str) -> "Iri":
         if not isinstance(text, str) or ":" not in text:
             raise IriError(f"expected prefix:Local, got {text!r}")
-        match = _IRI_RE.match(text)
-        if match is not None:  # both names already match the grammar `__new__` checks
-            return tuple.__new__(cls, match.groups())
+        if _IRI_RE.match(text) is not None:  # both names already match the grammar `__new__` checks
+            return str.__new__(cls, text)
         prefix, local = text.split(":", 1)
         return cls(prefix, local)  # raises the IriError that names the bad part
 

@@ -110,17 +110,6 @@ class InstanceTrace:
         return {"type": "instance", **vars(self)}
 
 
-def _extraction_to_dict(extraction: EntityExtraction | AssertionExtraction) -> dict:
-    """A JSON view of an entity or assertion extraction; Iri fields become
-    prefix:Local strings."""
-    return {
-        "records": [
-            {k: str(v) if isinstance(v, Iri) else v for k, v in vars(r).items()}
-            for r in extraction.records
-        ]
-    }
-
-
 _ASSERTED = "asserted:"
 _INFERRED = "inferred:"
 
@@ -138,7 +127,7 @@ def snapshot_abox(abox: ABox) -> list[dict]:
     facts = [((individual, CLASS_PREDICATE, cls), origin) for (individual, cls), origin in classes]
     facts += sorted(abox.property_assertions.items())
     return [
-        {"subject": str(s), "predicate": str(p), "object": str(o), "origin": _origin_text(origin)}
+        {"subject": s, "predicate": p, "object": o, "origin": _origin_text(origin)}
         for (s, p, o), origin in facts
     ]
 
@@ -253,12 +242,12 @@ def evaluate_instance(
         else:
             request = build_entity_prompt(task, text, **prompt)
             entities = ask(request, lambda data: parse_entity_response(data, task, instance_id))
-            trace.entity_extraction = _extraction_to_dict(entities)
+            trace.entity_extraction = {"records": [dict(vars(r)) for r in entities.records]}
             request = build_assertion_prompt(task, text, entities, complementary, **prompt)
             assertions = ask(
                 request, lambda data: parse_assertion_response(data, task, entities, complementary)
             )
-            trace.assertion_extraction = _extraction_to_dict(assertions)
+            trace.assertion_extraction = {"records": [dict(vars(r)) for r in assertions.records]}
             if not condition.uses_reasoner:
                 request = build_direct_prompt(task, entities, assertions, complementary, **prompt)
                 answer = ask(request, parse_answer_response)
@@ -275,10 +264,7 @@ def evaluate_instance(
 
     result = forward_chain(task.tbox, populate_abox(task, instance_id, entities, assertions))
     trace.abox_snapshot = snapshot_abox(result.abox)
-    trace.fired = [
-        {"rule": name, "binding": {var: str(value) for var, value in binding.items()}}
-        for name, binding in result.fired
-    ]
+    trace.fired = [{"rule": name, "binding": binding} for name, binding in result.fired]
     target = mint_individual(instance_id, task.target_entity)
     positive = result.consistent and classify(result, target, task.target_class)
     trace.prediction = POSITIVE_LABEL if positive else NEGATIVE_LABEL
@@ -336,9 +322,10 @@ def _check_fields(record: dict, fields: dict, where: str) -> None:
 def iter_traces(path) -> Iterator[dict]:
     """Yield each record of a trace file in file order, the header included,
     once its line is a JSON object of a known type with that type's fields.
-    A malformed line raises ValueError naming path:line when it is reached,
-    and a file without a header raises ValueError after its last line."""
-    header = False
+    A malformed line, a second header or a repeated instance id raises
+    ValueError naming path:line when it is reached, and a file without a
+    header raises ValueError after its last line."""
+    header, seen = False, set()
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -353,9 +340,14 @@ def iter_traces(path) -> Iterator[dict]:
                 raise ValueError(f"{where}: a trace line must be a JSON object")
             if record.get("type") == "header":
                 _check_fields(record, _HEADER_FIELDS, where)
+                if header:
+                    raise ValueError(f"{where}: a second header line")
                 header = True
             elif record.get("type") == "instance":
                 _check_fields(record, _INSTANCE_FIELDS, where)
+                if record["instance_id"] in seen:
+                    raise ValueError(f"{where}: instance {record['instance_id']!r} appears twice")
+                seen.add(record["instance_id"])
             else:
                 raise ValueError(f"{where}: unknown trace record type")
             yield record
@@ -364,7 +356,7 @@ def iter_traces(path) -> Iterator[dict]:
 
 
 def load_traces(path) -> tuple[dict, list[dict]]:
-    """A whole trace file through iter_traces: its last header and its
+    """A whole trace file through iter_traces: its one header and its
     instance records in file order."""
     header, records = None, []
     for record in iter_traces(path):

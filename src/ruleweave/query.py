@@ -276,7 +276,4 @@ def execute(query: Query, tbox: TBox, abox: ABox) -> list[BindingRow]:
 def format_tsv(query: Query, rows: list[BindingRow]) -> str:
     """SPARQL-results-style TSV: '?name' header row, prefix:Local cells."""
     header = "\t".join(f"?{name}" for name in query.select_vars)
-    lines = [header]
-    for row in rows:
-        lines.append("\t".join(str(value) for value in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([header, *map("\t".join, rows)]) + "\n"

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruleweave.backends import ScriptedBackend
 from ruleweave.errors import DatasetError, StatsError
@@ -15,6 +18,7 @@ from ruleweave.evaluation import (
     Dataset,
     DatasetRecord,
     ReportCell,
+    _check_minted_names,
     aggregate,
     builtin_dataset,
     cell_from_counts,
@@ -29,6 +33,7 @@ from ruleweave.evaluation import (
     run_condition,
     sample_dataset,
 )
+from ruleweave.extraction import case_individual, mint_individual
 from ruleweave.pipeline import Condition, load_traces
 from ruleweave.tasklib import builtin_task
 
@@ -413,6 +418,32 @@ def test_run_condition_rejects_colliding_minted_names_before_any_call(ids):
     with pytest.raises(DatasetError, match="both mint the individual inst:") as caught:
         run_condition(task, ds, Condition.SD, _NoCallBackend())
     assert all(repr(i) in str(caught.value) for i in ids)
+
+
+def _minted(instance_id: str, entities: tuple[str, ...]) -> set:
+    return {case_individual(instance_id), *(mint_individual(instance_id, e) for e in entities)}
+
+
+# A small alphabet, so that ids which sanitize to one name come up often.
+@settings(derandomize=True, database=None, max_examples=200)
+@given(
+    st.sets(st.text(alphabet="a_-1", min_size=1, max_size=4), min_size=2, max_size=6),
+    st.lists(st.sampled_from(["a", "a_1", "_1", "S"]), unique=True, max_size=3),
+)
+def test_minted_names_are_distinct_exactly_when_the_id_check_accepts(ids, entities):
+    ids, entities = tuple(sorted(ids)), tuple(entities)
+    minted = {i: _minted(i, entities) for i in ids}
+    try:
+        _check_minted_names(entities, ids)
+    except DatasetError as exc:
+        match = re.fullmatch(r"instance ids '(.*)' and '(.*)' both mint the individual (.*)", str(exc))
+        assert match is not None, str(exc)
+        first, second, name = match.groups()
+        assert first != second and name in minted[first] & minted[second]
+    else:
+        for i, first in enumerate(ids):
+            for second in ids[i + 1 :]:
+                assert not minted[first] & minted[second], (first, second)
 
 
 # -- report emission -------------------------------------------------------------------

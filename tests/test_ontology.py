@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import copy
+import json
 import os
 import pickle
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ruleweave
 from ruleweave.errors import (
@@ -81,14 +84,17 @@ def test_iri_equality_is_case_sensitive():
     assert Iri("h", "statement") != Iri("h", "Statement")
 
 
-def test_iri_hash_is_the_field_tuple_hash_and_is_cached():
+def test_iri_hash_is_the_string_hash_and_is_cached():
     iri = Iri("h", "Statement")
-    assert hash(iri) == hash(("h", "Statement"))
+    assert isinstance(iri, str) and iri == "h:Statement"
+    assert hash(iri) == hash("h:Statement")
     assert hash(iri) == hash(Iri.parse("h:Statement"))
+    assert (iri.prefix, iri.local) == ("h", "Statement")
     assert not hasattr(iri, "__dict__")
     with pytest.raises(AttributeError):
         iri.prefix = "i"
-    assert iri == ("h", "Statement")
+    with pytest.raises(AttributeError):
+        iri.extra = "i"
     with pytest.raises(IriError, match="bad local name"):
         Iri("h", "9bad")
     with pytest.raises(IriError, match="bad prefix"):
@@ -123,18 +129,13 @@ def test_iri_pickle_and_copy_carry_no_cached_hash():
             dup.local = "Hearsay"
 
 
-def test_iri_namedtuple_helpers_and_old_pickle_protocols_check_names():
+def test_iri_pickles_at_every_protocol_check_names():
     iri = Iri("h", "Statement")
-    assert type(Iri._make(["h", "Other"])) is Iri
-    assert iri._replace(local="Other") == Iri("h", "Other")
-    with pytest.raises(IriError, match="bad prefix"):
-        Iri._make(["", "x"])
-    with pytest.raises(IriError, match="bad local name"):
-        iri._replace(local="9bad")
-    for protocol in (0, 1):
+    assert not hasattr(Iri, "_make") and not hasattr(Iri, "_replace")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         data = pickle.dumps(iri, protocol)
         assert pickle.loads(data) == iri
-        with pytest.raises(IriError):
+        with pytest.raises(IriError, match="bad local name"):
             pickle.loads(data.replace(b"Statement", b"9tatement"))
 
 
@@ -144,7 +145,8 @@ def test_iri_unpickled_under_another_hash_seed_hashes_by_that_seed():
         "import pickle, sys\n"
         "from ruleweave.ontology import Iri\n"
         "iri = pickle.loads(sys.stdin.buffer.read())\n"
-        "assert hash(iri) == hash(('h', 'Statement')) != int(sys.argv[1])\n"
+        "assert type(iri) is Iri\n"
+        "assert hash(iri) == hash('h:Statement') != int(sys.argv[1])\n"
         "assert iri in {Iri('h', 'Statement')}\n"
     )
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
@@ -155,6 +157,43 @@ def test_iri_unpickled_under_another_hash_seed_hashes_by_that_seed():
         env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": source_root},
         check=True,
     )
+
+
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True)
+
+
+@st.composite
+def _prefix_pairs(draw):
+    """Two prefixes; half the time the second extends the first, so the
+    pairs that order differently as strings and as tuples come up."""
+    first = draw(_NAMES)
+    if draw(st.booleans()):
+        return first, first + draw(st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True))
+    return first, draw(_NAMES)
+
+
+def _digit_case(p1: str, p2: str) -> bool:
+    """One prefix properly extends the other with a digit next."""
+    short, long = sorted((p1, p2), key=len)
+    return long != short and long.startswith(short) and long[len(short)].isdigit()
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(_prefix_pairs(), _NAMES, _NAMES)
+def test_iri_is_its_prefix_local_string(prefixes, l1, l2):
+    p1, p2 = prefixes
+    iri = Iri(p1, l1)
+    assert Iri.parse(f"{p1}:{l1}") == iri and type(Iri.parse(f"{p1}:{l1}")) is Iri
+    assert (iri.prefix, iri.local) == (p1, l1)
+    assert json.dumps(iri) == f'"{p1}:{l1}"'
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(iri, protocol))
+        assert type(loaded) is Iri and loaded == iri
+    other = Iri(p2, l2)
+    if _digit_case(p1, p2):
+        assert (iri < other) == ((p1, l1) > (p2, l2))
+    else:
+        assert (iri < other) == ((p1, l1) < (p2, l2))
 
 
 def test_variable_name_validation():

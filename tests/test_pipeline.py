@@ -494,6 +494,25 @@ def test_snapshot_rebuild_round_trip(hearsay):
     assert rebuilt == abox
 
 
+def test_snapshot_orders_names_as_strings_so_e2_comes_before_e():
+    tbox = TBox({"e": "http://example.org/e#", "e2": "http://example.org/e2#"})
+    for prefix in ("e", "e2"):
+        tbox.declare_class(Iri(prefix, "C"))
+        tbox.declare_property(Iri(prefix, "p"))
+    abox = ABox(tbox)
+    for prefix in ("e", "e2"):
+        abox.assert_class(Iri(prefix, "x"), Iri("e", "C"), "j")
+        abox.assert_class(Iri("e", "x"), Iri(prefix, "C"), "j")
+        abox.assert_property(Iri("e", "x"), Iri(prefix, "p"), Iri(prefix, "x"), "j")
+    assert [(t["subject"], t["predicate"], t["object"]) for t in snapshot_abox(abox)] == [
+        ("e2:x", "a", "e:C"),
+        ("e:x", "a", "e2:C"),
+        ("e:x", "a", "e:C"),
+        ("e:x", "e2:p", "e2:x"),
+        ("e:x", "e:p", "e:x"),
+    ]
+
+
 def test_restore_keeps_inferred_origins_on_random_instances():
     rng = random.Random(7)
     for _ in range(200):
