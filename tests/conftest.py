@@ -4,8 +4,11 @@ import tempfile
 
 from hypothesis import configuration
 
-# Hypothesis caches what it learns of the source in its home directory,
-# `.hypothesis/` in the working directory by default. Keep that cache in a
-# temporary directory, removed when the test process exits, instead.
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
-configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+def pytest_configure(config):
+    """Keep Hypothesis' on-disk cache of the source's constants, which it
+    writes even with no example database, in a temporary directory removed
+    after the run, not in a `.hypothesis/` directory of the working tree."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    configuration.set_hypothesis_home_dir(home.name)

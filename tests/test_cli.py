@@ -631,30 +631,27 @@ def test_malformed_trace_file_exits_4(capsys, tmp_path, command, lines, message)
     assert message in err
 
 
-def _trace_argv(command, path):
+@pytest.mark.parametrize("command", ["report", "query"])
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ([_HEADER, _INSTANCE, {**_HEADER, "condition": "FS"}, _INSTANCE], "3: a second header line"),
+        (
+            [_HEADER, _INSTANCE, {**_INSTANCE, "instance_id": "t02"}, _INSTANCE],
+            "4: instance 't01' appears twice",
+        ),
+    ],
+    ids=["two-files-joined", "repeated-instance-id"],
+)
+def test_a_trace_file_holds_one_header_and_each_instance_once(capsys, tmp_path, command, lines, message):
+    path = tmp_path / "traces.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    argv = ["report", str(path)]
     if command == "query":
-        return ["query", "--trace", str(path), "--query", HEARSAY_CLASS_QUERY]
-    return ["report", str(path)]
-
-
-@pytest.mark.parametrize("command", ["report", "query"])
-def test_two_joined_trace_files_exit_4_at_the_second_header(capsys, tmp_path, command):
-    path = tmp_path / "traces.jsonl"
-    lines = [_HEADER, _INSTANCE, {**_HEADER, "condition": "FS"}, _INSTANCE]
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
-    code, _, err = run_cli(capsys, _trace_argv(command, path))
+        argv = ["query", "--trace", str(path), "--query", HEARSAY_CLASS_QUERY]
+    code, _, err = run_cli(capsys, argv)
     assert code == 4
-    assert err == f"data error: {path}:3: a second header line\n"
-
-
-@pytest.mark.parametrize("command", ["report", "query"])
-def test_a_repeated_instance_id_exits_4(capsys, tmp_path, command):
-    path = tmp_path / "traces.jsonl"
-    lines = [_HEADER, _INSTANCE, {**_INSTANCE, "instance_id": "t02"}, _INSTANCE]
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
-    code, _, err = run_cli(capsys, _trace_argv(command, path))
-    assert code == 4
-    assert err == f"data error: {path}:4: instance 't01' appears twice\n"
+    assert err == f"data error: {path}:{message}\n"
 
 
 _TRIPLE = {"subject": "inst:t01_s", "predicate": "a", "object": "h:Hearsay", "origin": "asserted:j"}

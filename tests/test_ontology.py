@@ -182,8 +182,8 @@ def _digit_case(p1: str, p2: str) -> bool:
 @given(_prefix_pairs(), _NAMES, _NAMES)
 def test_iri_is_its_prefix_local_string(prefixes, l1, l2):
     p1, p2 = prefixes
-    iri = Iri(p1, l1)
-    assert Iri.parse(f"{p1}:{l1}") == iri and type(Iri.parse(f"{p1}:{l1}")) is Iri
+    iri, parsed = Iri(p1, l1), Iri.parse(f"{p1}:{l1}")
+    assert parsed == iri and type(parsed) is Iri
     assert (iri.prefix, iri.local) == (p1, l1)
     assert json.dumps(iri) == f'"{p1}:{l1}"'
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

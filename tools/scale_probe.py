@@ -85,7 +85,7 @@ class CollectorMeter:
 
 def measure(action) -> tuple[float, object, str]:
     """The median ms of REPEATS calls, the last result, and the collector's
-    activity per call as "gen0\tgen1\tgen2\tgc_ms"."""
+    activity per call: gen-0, gen-1 and gen-2 collections and ms, tab-separated."""
     times, meter = [], CollectorMeter()
     gc.callbacks.append(meter)
     try:
