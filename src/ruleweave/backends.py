@@ -192,8 +192,19 @@ class _RateLimiter:
 
 
 class HttpBackend:
-    """Client for a chat-completions-compatible JSON endpoint. ``max_concurrency``
-    caps nothing here: it is ``ruleweave run``'s pool size when ``--workers`` is not given."""
+    """Client for a chat-completions-compatible JSON endpoint.
+
+    ``endpoint`` must be an ``http`` or ``https`` URL with a host; anything
+    else raises ``BackendError`` here, before any request. Each request is one
+    POST through ``urllib.request`` on a connection of its own, so the standard
+    proxy variables apply and HTTPS uses the default SSL context (the system
+    trust store, or ``SSL_CERT_FILE``). 429 and 5xx replies are retried with
+    backoff; any other non-200 reply and any transport failure raise
+    ``BackendError``. ``urllib.request`` is imported on the first request, so
+    importing ruleweave loads neither it nor ``ssl``. ``max_concurrency`` caps
+    nothing here: it is ``ruleweave run``'s pool size when ``--workers`` is
+    not given.
+    """
 
     def __init__(
         self,
@@ -204,11 +215,20 @@ class HttpBackend:
         max_concurrency: int = 4,
         rpm: Optional[int] = None,
     ):
+        from urllib.parse import urlsplit
+
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not key:
             raise BackendError(f"no API key: set {API_KEY_ENV} or pass api_key")
         if not endpoint:
             raise BackendError("endpoint must be set for the HTTP backend")
+        try:
+            parts = urlsplit(endpoint)
+            usable = parts.scheme in ("http", "https") and bool(parts.hostname)
+        except ValueError:  # e.g. an unclosed IPv6 bracket
+            usable = False
+        if not usable:
+            raise BackendError(f"endpoint {endpoint!r} must be an http:// or https:// URL with a host")
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
@@ -217,7 +237,9 @@ class HttpBackend:
         self._limiter = _RateLimiter(rpm)
 
     def complete(self, request: ChatRequest) -> BackendResponse:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         body = {
             "model": request.model or self.model,
@@ -228,29 +250,35 @@ class HttpBackend:
                 {"role": "user", "content": request.user},
             ],
         }
-        headers = {
-            "Authorization": f"Bearer {self._api_key}",
-            "Content-Type": "application/json",
-        }
+        outbound = urllib.request.Request(
+            self.endpoint,
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Authorization": f"Bearer {self._api_key}", "Content-Type": "application/json"},
+            method="POST",
+        )
         last_error = "unknown"
         for attempt in range(RETRYABLE_ATTEMPTS):
             self._limiter.wait()
             try:
-                reply = requests.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                try:
+                    reply = urllib.request.urlopen(outbound, timeout=self.timeout)
+                except urllib.error.HTTPError as exc:
+                    reply = exc  # a non-2xx reply: its status and body are read below
+                with reply:
+                    status, raw = reply.status, reply.read()
+            except (OSError, http.client.HTTPException) as exc:
                 raise BackendError(f"request to {self.endpoint} failed: {exc}") from exc
-            if reply.status_code == 429 or reply.status_code >= 500:
-                last_error = f"HTTP {reply.status_code}"
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}"
                 log.warning("retryable %s from %s (attempt %d)", last_error, self.endpoint, attempt + 1)
                 if attempt + 1 < RETRYABLE_ATTEMPTS:
                     time.sleep(2.0**attempt)
                 continue
-            if reply.status_code != 200:
-                raise BackendError(f"HTTP {reply.status_code} from {self.endpoint}: {reply.text[:500]}")
+            if status != 200:
+                text = raw.decode("utf-8", errors="replace")
+                raise BackendError(f"HTTP {status} from {self.endpoint}: {text[:500]}")
             try:
-                payload = reply.json()
+                payload = json.loads(raw)
                 text = payload["choices"][0]["message"]["content"]
                 if not isinstance(text, str):
                     raise TypeError(f"message content is {type(text).__name__}, not a string")

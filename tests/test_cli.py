@@ -332,6 +332,20 @@ def test_run_pool_size_is_workers_else_max_concurrency_else_1(capsys, tmp_path, 
     assert seen == [3, 2, 1]
 
 
+def test_run_endpoint_that_is_not_an_http_url_exits_3_before_any_request(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no request may be sent")
+
+    monkeypatch.setattr(cli, "run_condition", refuse)
+    monkeypatch.setenv("RULEWEAVE_API_KEY", "k")
+    code, _, err = run_hearsay(
+        capsys, tmp_path, "--backend", "http", "--model", "m", "--endpoint", "localhost:9/v1", "--sample", "3"
+    )
+    assert code == 3
+    assert err.startswith("backend error: endpoint 'localhost:9/v1' must be an http:// or https:// URL")
+    assert not (tmp_path / "hearsay").exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_run_workers_below_1_exits_2(capsys, tmp_path, workers):
     code, _, err = run_hearsay(capsys, tmp_path, "--workers", workers)

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+import os
 import re
+import socket
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -564,14 +572,70 @@ def test_recording_backend_round_trip(tmp_path):
     assert replay.complete(request) == first
 
 
-class _FakeReply:
-    def __init__(self, status_code, content=None, text=""):
-        self.status_code = status_code
-        self._content = content
-        self.text = text
+_CUT_SHORT = "cut short"  # the headers promise 100 more bytes than the server sends before it closes
+_STALL = "stall"  # the headers are sent and the body is withheld until the test ends
 
-    def json(self):
-        return self._content
+
+class _LoopbackServer(ThreadingHTTPServer):
+    """Serves a scripted list of (status, body) replies in order and records
+    each request's JSON body and headers in ``seen``."""
+
+    daemon_threads = True
+
+    def __init__(self, replies):
+        super().__init__(("127.0.0.1", 0), _LoopbackHandler)
+        self.replies = list(replies)
+        self.seen = []
+        self.release = threading.Event()
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}/v1/chat"
+
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        server = self.server
+        server.seen.append((json.loads(self.rfile.read(int(self.headers["Content-Length"]))), self.headers))
+        status, body = server.replies.pop(0)
+        raw = body.encode("utf-8") if isinstance(body, str) else json.dumps(body).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(raw) + 100 if body == _CUT_SHORT else len(raw)))
+        self.end_headers()
+        if body == _STALL:
+            server.release.wait(10)
+            return
+        self.wfile.write(raw)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """``loopback(*replies)`` starts a ``_LoopbackServer`` on a free port of
+    127.0.0.1; every server it started is stopped when the test ends."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    started = []
+
+    def serve(*replies):
+        server = _LoopbackServer(replies)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield serve
+    for server, thread in started:
+        server.release.set()
+        server.shutdown()
+        thread.join()
+        server.server_close()
+
+
+def _answer_reply(content):
+    return 200, {"choices": [{"message": {"content": content}}]}
 
 
 def test_http_backend_requires_key(monkeypatch):
@@ -580,49 +644,38 @@ def test_http_backend_requires_key(monkeypatch):
         HttpBackend("https://api.example/v1/chat/completions", "model-x")
 
 
-def test_http_backend_happy_path_and_retry(monkeypatch):
-    import requests
-
-    replies = [
-        _FakeReply(429, text="slow down"),
-        _FakeReply(200, {"choices": [{"message": {"content": '{"answer": "No"}'}}]}),
-    ]
-    calls = []
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        calls.append((url, json["model"], headers["Authorization"]))
-        return replies[len(calls) - 1]
-
-    monkeypatch.setattr(requests, "post", fake_post)
+def test_http_backend_happy_path_and_retry(monkeypatch, loopback):
+    server = loopback((429, "slow down"), _answer_reply('{"answer": "No"}'))
     monkeypatch.setattr("time.sleep", lambda _s: None)
-    backend = HttpBackend("https://api.example/v1/chat", "model-x", api_key="k123")
+    backend = HttpBackend(server.url, "model-x", api_key="k123")
     response = backend.complete(
         ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs")
     )
     assert response.data == {"answer": "No"}
-    assert len(calls) == 2
-    assert calls[0][1] == "model-x"
-    assert calls[0][2] == "Bearer k123"
+    assert len(server.seen) == 2
+    body, headers = server.seen[0]
+    assert body["model"] == "model-x"
+    assert headers["Authorization"] == "Bearer k123"
 
 
 @pytest.mark.parametrize("content", [None, ["{}"], {"answer": "No"}])
-def test_http_backend_non_string_content_is_a_backend_error(monkeypatch, content):
-    import requests
-
-    reply = _FakeReply(200, {"choices": [{"message": {"content": content}}]})
-    monkeypatch.setattr(requests, "post", lambda *a, **k: reply)
-    backend = HttpBackend("https://api.example/v1/chat", "m", api_key="k")
+def test_http_backend_non_string_content_is_a_backend_error(loopback, content):
+    server = loopback(_answer_reply(content))
+    backend = HttpBackend(server.url, "m", api_key="k")
     with pytest.raises(BackendError, match="unexpected response shape.*not a string"):
         backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
 
 
-def test_http_backend_client_error_is_fatal(monkeypatch):
-    import requests
+def test_http_backend_reply_that_is_not_json_is_a_backend_error(loopback):
+    server = loopback((200, "<html>not json</html>"))
+    backend = HttpBackend(server.url, "m", api_key="k")
+    with pytest.raises(BackendError, match="unexpected response shape"):
+        backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
 
-    monkeypatch.setattr(
-        requests, "post", lambda *a, **k: _FakeReply(400, text="bad request")
-    )
-    backend = HttpBackend("https://api.example/v1/chat", "m", api_key="k")
+
+def test_http_backend_client_error_is_fatal(loopback):
+    server = loopback((400, "bad request"))
+    backend = HttpBackend(server.url, "m", api_key="k")
     with pytest.raises(BackendError, match="HTTP 400"):
         backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
 
@@ -648,24 +701,49 @@ def test_rate_limiter_sleeps_until_the_oldest_stamp_is_a_minute_old(monkeypatch)
 
 
 def test_http_backend_transport_error_is_a_backend_error(monkeypatch):
-    import requests
-
-    def refuse(*a, **k):
-        raise requests.ConnectionError("connection refused")
-
-    monkeypatch.setattr(requests, "post", refuse)
-    backend = HttpBackend("https://api.example/v1/chat", "m", api_key="k")
-    with pytest.raises(BackendError, match="request to https://api.example/v1/chat failed"):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    with socket.socket() as probe:  # a port that was just free and now has no listener
+        probe.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{probe.getsockname()[1]}/v1/chat"
+    backend = HttpBackend(url, "m", api_key="k")
+    with pytest.raises(BackendError, match=f"request to {re.escape(url)} failed"):
         backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
 
 
-def test_http_backend_gives_up_after_three_server_errors(monkeypatch):
-    import requests
+@pytest.mark.parametrize("body", [_CUT_SHORT, _STALL])
+def test_http_backend_reply_cut_short_or_stalled_is_a_backend_error(loopback, body):
+    server = loopback((200, body))
+    backend = HttpBackend(server.url, "m", api_key="k", timeout=0.2)
+    with pytest.raises(BackendError, match=f"request to {re.escape(server.url)} failed"):
+        backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
 
+
+@pytest.mark.parametrize("endpoint", ["localhost:9/v1", "ftp://h/x", "file:///tmp/x", "http://"])
+def test_http_backend_rejects_an_endpoint_that_is_not_an_http_url(endpoint):
+    with pytest.raises(BackendError, match=f"endpoint {re.escape(repr(endpoint))} must be an http"):
+        HttpBackend(endpoint, "m", api_key="k")
+
+
+def test_http_backend_gives_up_after_three_server_errors(monkeypatch, loopback):
     sleeps = []
-    monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeReply(503, text="busy"))
+    server = loopback(*[(503, "busy")] * 3)
     monkeypatch.setattr("time.sleep", sleeps.append)
-    backend = HttpBackend("https://api.example/v1/chat", "m", api_key="k")
+    backend = HttpBackend(server.url, "m", api_key="k")
     with pytest.raises(BackendError, match=r"gave up after 3 attempts \(HTTP 503\)"):
         backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
     assert sleeps == [1, 2]
+
+
+def test_importing_ruleweave_loads_no_http_client_or_ssl():
+    # Every fresh process that imports ruleweave pays for these, so HttpBackend
+    # imports its client on the first request.
+    from perfbench.workloads import MODULES
+
+    imports = "; ".join(f"import ruleweave.{name}" for name in MODULES)
+    check = f"import sys; {imports}; print(sorted(sys.modules))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, env=env, check=True)
+    loaded = set(ast.literal_eval(done.stdout))
+    assert {f"ruleweave.{name}" for name in MODULES} <= loaded
+    assert not loaded & {"http.client", "urllib.request", "ssl", "requests"}
