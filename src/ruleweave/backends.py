@@ -253,9 +253,11 @@ class HttpBackend:
         outbound = urllib.request.Request(
             self.endpoint,
             data=json.dumps(body).encode("utf-8"),
-            headers={"Authorization": f"Bearer {self._api_key}", "Content-Type": "application/json"},
+            headers={"Content-Type": "application/json"},
             method="POST",
         )
+        # Unredirected: a redirect, possibly to another host, does not carry the key.
+        outbound.add_unredirected_header("Authorization", f"Bearer {self._api_key}")
         last_error = "unknown"
         for attempt in range(RETRYABLE_ATTEMPTS):
             self._limiter.wait()

@@ -578,7 +578,8 @@ _STALL = "stall"  # the headers are sent and the body is withheld until the test
 
 class _LoopbackServer(ThreadingHTTPServer):
     """Serves a scripted list of (status, body) replies in order and records
-    each request's JSON body and headers in ``seen``."""
+    each request's JSON body (None without one) and headers in ``seen``. A
+    302 reply's body is its Location."""
 
     daemon_threads = True
 
@@ -596,10 +597,13 @@ class _LoopbackServer(ThreadingHTTPServer):
 class _LoopbackHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         server = self.server
-        server.seen.append((json.loads(self.rfile.read(int(self.headers["Content-Length"]))), self.headers))
+        length = int(self.headers.get("Content-Length", 0))
+        server.seen.append((json.loads(self.rfile.read(length)) if length else None, self.headers))
         status, body = server.replies.pop(0)
         raw = body.encode("utf-8") if isinstance(body, str) else json.dumps(body).encode("utf-8")
         self.send_response(status)
+        if status == 302:
+            self.send_header("Location", body)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw) + 100 if body == _CUT_SHORT else len(raw)))
         self.end_headers()
@@ -607,6 +611,8 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
             server.release.wait(10)
             return
         self.wfile.write(raw)
+
+    do_GET = do_POST  # a 302 reply turns the POST into a GET
 
     def log_message(self, format, *args):
         pass
@@ -716,6 +722,17 @@ def test_http_backend_reply_cut_short_or_stalled_is_a_backend_error(loopback, bo
     backend = HttpBackend(server.url, "m", api_key="k", timeout=0.2)
     with pytest.raises(BackendError, match=f"request to {re.escape(server.url)} failed"):
         backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
+
+
+def test_http_backend_does_not_forward_the_key_on_a_redirect(loopback):
+    target = loopback((200, "moved here"))
+    server = loopback((302, target.url))
+    backend = HttpBackend(server.url, "m", api_key="k")
+    with pytest.raises(BackendError, match="unexpected response shape"):
+        backend.complete(ChatRequest("s", "u", {"k": 1}, model="", instance_id="a", step="fs"))
+    assert server.seen[0][1]["Authorization"] == "Bearer k"
+    body, headers = target.seen[0]
+    assert body is None and "Authorization" not in headers
 
 
 @pytest.mark.parametrize("endpoint", ["localhost:9/v1", "ftp://h/x", "file:///tmp/x", "http://"])
