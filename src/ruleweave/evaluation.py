@@ -20,7 +20,6 @@ import random
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -447,8 +446,7 @@ def _path_part(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name) or "_"
 
 
-@lru_cache(maxsize=16)
-def _check_minted_names(entity_names: tuple[str, ...], instance_ids: tuple[str, ...]) -> None:
+def _check_minted_names(entity_names: Sequence[str], instance_ids: Iterable[str]) -> None:
     """Raise DatasetError naming two ids whose instances would mint the same
     individual: the local names of `case_individual(id)` and of
     `mint_individual(id, entity)` for every entity. A query over a merged
@@ -486,7 +484,7 @@ def run_condition(
     test = sorted(dataset.test_records, key=lambda r: r.instance_id)
     if not test:
         raise DatasetError("dataset has no test records")
-    _check_minted_names(tuple(spec.name for spec in task.entity_specs), tuple(r.instance_id for r in test))
+    _check_minted_names([spec.name for spec in task.entity_specs], [r.instance_id for r in test])
     exemplars = dataset.exemplars()
 
     def one(record: DatasetRecord) -> InstanceTrace:

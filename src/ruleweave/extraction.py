@@ -8,7 +8,6 @@ up as an error.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, TypeVar
@@ -117,9 +116,12 @@ _RECORD_FIELDS = {
 }
 
 
-@functools.cache
-def _schema_records(key: str, names: tuple[str, ...]) -> _Schema:
-    """One record per name under ``key``; built once per process for each (key, names)."""
+def _schema_records(task: TaskDefinition, key: str, names: tuple[str, ...]) -> _Schema:
+    """One record per name under ``key``; built once per task for each (key, names).
+    Threads that race here build equal schemas, so either may be kept."""
+    memo = task._schemas
+    if (key, names) in memo:
+        return memo[key, names]
     fields = {"name": {"enum": list(names)}, **_RECORD_FIELDS[key]}
     schema = {
         "type": "object",
@@ -137,15 +139,16 @@ def _schema_records(key: str, names: tuple[str, ...]) -> _Schema:
             }
         },
     }
-    return _Schema(schema)
+    memo[key, names] = _Schema(schema)
+    return memo[key, names]
 
 
-@functools.cache
-def _answer_schema(reasoning: bool = False) -> _Schema:
-    """The schema of a label answer; CoT asks for its reasoning first."""
-    properties = {"reasoning": {"type": "string", "minLength": 1}} if reasoning else {}
-    properties["answer"] = {"enum": [POSITIVE_LABEL, NEGATIVE_LABEL]}
-    return _Schema({"type": "object", "required": list(properties), "properties": properties})
+# The schemas of a label answer; CoT asks for its reasoning first.
+_ANSWER = {"answer": {"enum": [POSITIVE_LABEL, NEGATIVE_LABEL]}}
+_ANSWER_SCHEMA, _COT_SCHEMA = (
+    _Schema({"type": "object", "required": list(properties), "properties": properties})
+    for properties in (_ANSWER, {"reasoning": {"type": "string", "minLength": 1}, **_ANSWER})
+)
 
 
 def _system_preamble(task: TaskDefinition) -> str:
@@ -187,7 +190,7 @@ def build_entity_prompt(
     temperature: float = 0.0,
 ) -> ChatRequest:
     _require_input(input_text)
-    schema = _schema_records("entities", tuple(spec.name for spec in task.entity_specs))
+    schema = _schema_records(task, "entities", tuple(spec.name for spec in task.entity_specs))
     lines = ["Identify the following kinds of entity in the input text."]
     for i, spec in enumerate(task.entity_specs, start=1):
         tag = "required" if spec.required else "optional"
@@ -241,7 +244,7 @@ def build_assertion_prompt(
 ) -> ChatRequest:
     _require_input(input_text)
     asked, _ = askable_specs(task, entities, complementary)
-    schema = _schema_records("assertions", tuple(spec.name for spec in asked))
+    schema = _schema_records(task, "assertions", tuple(spec.name for spec in asked))
     lines = ["Entities identified in the input:"]
     for spec in task.entity_specs:
         record = entities.get(spec.name)
@@ -277,7 +280,7 @@ def build_direct_prompt(
     model: str = "",
     temperature: float = 0.0,
 ) -> ChatRequest:
-    schema = _answer_schema()
+    schema = _ANSWER_SCHEMA
     lines = ["Extracted entities:"]
     for record in entities.records:
         if record.found:
@@ -311,7 +314,7 @@ def build_baseline_prompt(
     _require_input(input_text)
     if style not in (STEP_FS, STEP_COT):
         raise ValueError(f"unknown baseline style {style!r}")
-    schema = _answer_schema(reasoning=style == STEP_COT)
+    schema = _COT_SCHEMA if style == STEP_COT else _ANSWER_SCHEMA
     if style == STEP_COT:
         instruction = (
             "Reason step by step about the input, then give your final answer. "
@@ -397,11 +400,21 @@ def parse_assertion_response(
     entities: EntityExtraction,
     complementary: bool,
 ) -> AssertionExtraction:
-    asked, skipped = askable_specs(task, entities, complementary)
+    asked, _ = askable_specs(task, entities, complementary)
     by_name = _records_by_name(data, "assertions", [spec.name for spec in asked])
     records: list[AssertionRecord] = []
-    for spec in asked:
-        raw = by_name[spec.name]
+    for spec in effective_assertion_specs(task, complementary):
+        subject = entities.get(spec.subject_entity).individual
+        raw = by_name.get(spec.name)
+        if raw is None:  # skipped for a missing entity
+            missing = [
+                name
+                for name in (spec.subject_entity, spec.object_entity)
+                if name is not None and not entities.found(name)
+            ]
+            reason = "not asked: " + ", ".join(missing) + " not identified"
+            records.append(AssertionRecord(spec.name, False, subject, reason))
+            continue
         holds = raw.get("holds")
         if not isinstance(holds, bool):
             raise MalformedResponseError(f"{spec.name}: holds must be a boolean")
@@ -409,7 +422,7 @@ def parse_assertion_response(
             AssertionRecord(
                 name=spec.name,
                 holds=holds,
-                subject=entities.get(spec.subject_entity).individual,
+                subject=subject,
                 object=(
                     entities.get(spec.object_entity).individual
                     if spec.arity == BINARY
@@ -418,22 +431,6 @@ def parse_assertion_response(
                 justification=_non_empty_string(raw, "justification", spec.name),
             )
         )
-    for spec in skipped:
-        missing = [
-            name
-            for name in (spec.subject_entity, spec.object_entity)
-            if name is not None and not entities.found(name)
-        ]
-        records.append(
-            AssertionRecord(
-                name=spec.name,
-                holds=False,
-                subject=entities.get(spec.subject_entity).individual,
-                justification="not asked: " + ", ".join(missing) + " not identified",
-            )
-        )
-    order = {spec.name: i for i, spec in enumerate(effective_assertion_specs(task, complementary))}
-    records.sort(key=lambda record: order[record.name])
     return AssertionExtraction(records=tuple(records))
 
 

@@ -106,6 +106,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.position = 0
+        last = tokens[-1] if tokens else Token("", "", 1, 1)
+        self.end = (last.line, last.column + len(last.value))  # just past the last token
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.position] if self.position < len(self.tokens) else None
@@ -113,8 +115,7 @@ class _Parser:
     def next(self, expectation: str) -> Token:
         token = self.peek()
         if token is None:
-            last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
-            raise QuerySyntaxError(f"expected {expectation}, found end of input", last.line, last.column)
+            raise QuerySyntaxError(f"expected {expectation}, found end of input", *self.end)
         self.position += 1
         return token
 
@@ -156,10 +157,9 @@ def parse_query(text: str) -> Query:
     while (token := parser.peek()) is not None and token.kind == "var":
         parser.next("variable")
         select_vars.append(token.value[1:])
-    if not select_vars:
-        token = parser.peek()
-        where = token if token else Token("", "", 1, 1)
-        raise QuerySyntaxError("SELECT needs at least one variable", where.line, where.column)
+    if not select_vars:  # token is the peek that ended the loop
+        where = (token.line, token.column) if token else parser.end
+        raise QuerySyntaxError("SELECT needs at least one variable", *where)
 
     parser.expect_keyword("WHERE")
     brace = parser.next("'{'")
@@ -191,7 +191,7 @@ def parse_query(text: str) -> Query:
     while True:
         token = parser.peek()
         if token is None:
-            raise QuerySyntaxError("missing '}'", 1, 1)
+            raise QuerySyntaxError("missing '}'", *parser.end)
         if token.kind == "punct" and token.value == "}":
             parser.next("'}'")
             break

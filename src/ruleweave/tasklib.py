@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Optional
 
@@ -110,6 +110,8 @@ class TaskDefinition:
     target_class: Iri
     target_entity: str
     notes: Optional[str] = None
+    # extraction's prompt schemas by (records key, asked names), filled on first use
+    _schemas: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 # -- rule text -------------------------------------------------------------
@@ -398,9 +400,7 @@ def _load_assertions(
 
     by_name = {spec.name: spec for spec in specs}
     for i, spec in enumerate(specs):
-        if spec.complement_of is None:
-            if spec.negative:
-                raise _fail(f"assertions[{i}]", "negative role without a complement pair")
+        if spec.complement_of is None:  # a negative role without it was refused above
             continue
         other = by_name.get(spec.complement_of)
         if other is None:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruleweave.backends import ScriptedBackend
+from ruleweave.backends import BackendResponse, ScriptedBackend
 from ruleweave.errors import DatasetError, StatsError
 from ruleweave.evaluation import (
     ConfusionCounts,
@@ -418,6 +418,39 @@ def test_run_condition_rejects_colliding_minted_names_before_any_call(ids):
     with pytest.raises(DatasetError, match="both mint the individual inst:") as caught:
         run_condition(task, ds, Condition.SD, _NoCallBackend())
     assert all(repr(i) in str(caught.value) for i in ids)
+
+
+class _SpyBackend:
+    """Answers every baseline step with No and keeps each request's user prompt."""
+
+    def __init__(self):
+        self.users = []
+
+    def complete(self, request):
+        self.users.append(request.user)
+        data = {"reasoning": "it reads so", "answer": "No"}
+        return BackendResponse(json.dumps(data), data)
+
+
+@pytest.mark.parametrize("condition", [Condition.FS, Condition.COT])
+def test_baseline_prompts_carry_the_train_exemplars_in_id_order(condition):
+    train = [("t3", "third example", "No"), ("t1", "first example", "Yes"), ("t2", "second example", "No")]
+    ds = Dataset(
+        task_id="hearsay",
+        records=(
+            DatasetRecord("q1", "the input to classify", "No", "test"),
+            *(DatasetRecord(i, text, label, "train") for i, text, label in train),
+        ),
+    )
+    spy = _SpyBackend()
+    run = run_condition(builtin_task("hearsay"), ds, condition, spy)
+    assert run.traces[0].prediction == "No"
+    [user] = spy.users
+    examples = "".join(
+        f"Example {i}:\nInput: {text}\nAnswer: {label}\n\n"
+        for i, (_, text, label) in enumerate(sorted(train), start=1)
+    )
+    assert user.startswith(examples + "Now the input to classify:\nthe input to classify\n")
 
 
 def _minted(instance_id: str, entities: tuple[str, ...]) -> set:

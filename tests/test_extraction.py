@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -31,8 +32,6 @@ from ruleweave.extraction import (
     AssertionRecord,
     EntityExtraction,
     EntityRecord,
-    _answer_schema,
-    _schema_records,
     build_assertion_prompt,
     build_baseline_prompt,
     build_direct_prompt,
@@ -48,7 +47,7 @@ from ruleweave.extraction import (
     sanitize_local_name,
 )
 from ruleweave.ontology import Iri
-from ruleweave.tasklib import builtin_task
+from ruleweave.tasklib import builtin_task, builtin_task_document, load_task
 
 SAMPLE_TEXT = (
     "At trial, a witness recounts that her neighbor told her the day after the "
@@ -297,6 +296,56 @@ def test_parse_assertion_response_fills_skipped_specs(hearsay):
     assert len(extraction.records) == 4
 
 
+def test_a_partially_asked_step_keeps_the_effective_spec_order(hearsay):
+    entities = parsed_entities(hearsay, entity_reply(assertion=False))
+    asked = ["ProvesTruthOfAssertion", "IntroducedForLegalIssue", "IsInCourt", "IsOutOfCourt"]
+    data = json.loads(assertion_reply({name: True for name in asked}))  # reverse spec order
+    extraction = parse_assertion_response(data, hearsay, entities, True)
+    assert [record.name for record in extraction.records] == [
+        "IsOutOfCourt", "IsInCourt", "HasAssertion", "IntroducedForLegalIssue", "ProvesTruthOfAssertion"
+    ]
+    skipped = extraction.get("HasAssertion")
+    assert skipped == AssertionRecord(
+        "HasAssertion", False, Iri("inst", "t1_Statement"), "not asked: Assertion not identified"
+    )
+
+
+def _with_record(record_name, **fields):
+    def edit(data):
+        next(record for record in data["assertions"] if record["name"] == record_name).update(fields)
+        return data
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_with_record("HasAssertion", holds="yes"), "HasAssertion: holds must be a boolean"),
+        (lambda data: [], "expected an object with a 'assertions' array"),
+        (lambda data: {"assertions": {}}, "expected an object with a 'assertions' array"),
+        (_with_record("HasAssertion", name=None), "every assertions record needs a string name"),
+        (lambda data: {"assertions": [*data["assertions"], "IsOutOfCourt"]},
+         "every assertions record needs a string name"),
+        (lambda data: {"assertions": [*data["assertions"], data["assertions"][1]]},
+         "duplicate record for 'HasAssertion'"),
+        # Two bad records, the later spec's first in the reply: the first in spec order is named.
+        (lambda data: {"assertions": [
+            {**data["assertions"][3], "holds": None}, {**data["assertions"][0], "holds": 1}, *data["assertions"][1:3]
+        ]}, "IsOutOfCourt: holds must be a boolean"),
+        (lambda data: {"assertions": [
+            {**data["assertions"][3], "justification": " "}, {**data["assertions"][1], "justification": 7},
+            data["assertions"][0], data["assertions"][2],
+        ]}, "HasAssertion: justification must be a non-empty string"),
+    ],
+    ids=["holds", "list", "no-array", "no-name", "bare-string", "duplicate", "first-holds", "first-justification"],
+)
+def test_parse_assertion_response_error_texts(hearsay, edit, message):
+    entities = parsed_entities(hearsay)
+    with pytest.raises(MalformedResponseError) as caught:
+        parse_assertion_response(edit(full_assertion_data()), hearsay, entities, False)
+    assert str(caught.value) == message
+
+
 def test_parse_answer_response():
     assert parse_answer_response({"answer": "Yes"}) == "Yes"
     assert parse_answer_response({"answer": " No "}) == "No"
@@ -311,6 +360,23 @@ def test_parse_cot_response():
     assert (reasoning, answer) == ("because", "No")
     with pytest.raises(MalformedResponseError, match="reasoning"):
         parse_cot_response({"answer": "No"})
+
+
+@pytest.mark.parametrize(
+    "parse, data, message",
+    [
+        (parse_answer_response, {"answer": 1}, "answer must be a string"),
+        (parse_answer_response, "Yes", "expected a JSON object with an answer"),
+        (parse_answer_response, {"answer": "maybe"}, "answer must be 'Yes' or 'No', got 'maybe'"),
+        (parse_cot_response, ["because", "Yes"], "expected a JSON object"),
+        (parse_cot_response, {"reasoning": "because", "answer": 1}, "answer must be a string"),
+        (parse_cot_response, {"reasoning": " ", "answer": "Yes"}, "chain of thought: reasoning must be a non-empty string"),
+    ],
+)
+def test_answer_parse_error_texts(parse, data, message):
+    with pytest.raises(MalformedResponseError) as caught:
+        parse(data)
+    assert str(caught.value) == message
 
 
 # -- retry policy ---------------------------------------------------------------
@@ -457,14 +523,49 @@ def test_schema_memos_give_each_task_its_own_prompts(hearsay):
     first = every_step_request(hearsay)
     other = every_step_request(builtin_task("clinical_eligibility"))
     again = every_step_request(hearsay)
-    _schema_records.cache_clear()
-    _answer_schema.cache_clear()
-    fresh = every_step_request(hearsay)
+    fresh = every_step_request(builtin_task("hearsay"))
     assert first == again == fresh
     assert [r.digest() for r in first] == [r.digest() for r in again] == [r.digest() for r in fresh]
     assert other[0].response_schema != first[0].response_schema
     for request in first[:-1] + other[:-1]:  # the last of each is a repair, its note after the dump
         assert request.user.endswith(json.dumps(request.response_schema, indent=2, ensure_ascii=False))
+
+
+def test_a_task_keeps_its_own_record_schemas(hearsay):
+    first, again = (build_entity_prompt(hearsay, SAMPLE_TEXT, instance_id=i) for i in ("t1", "t2"))
+    assert again.response_schema is first.response_schema
+    other = load_task(builtin_task_document("hearsay"))
+    fresh = build_entity_prompt(other, SAMPLE_TEXT, instance_id="t1")
+    assert fresh.response_schema == first.response_schema and fresh.response_schema is not first.response_schema
+    copied = dataclasses.replace(hearsay)
+    assert copied._schemas == {} and copied == hearsay and hash(copied) == hash(hearsay)
+    assert build_entity_prompt(copied, SAMPLE_TEXT, instance_id="t1").response_schema is not first.response_schema
+    assert "_schemas" not in repr(hearsay)
+
+
+def test_threads_that_race_on_a_fresh_task_build_equal_prompts(hearsay):
+    task, expected, results = dataclasses.replace(hearsay), every_step_request(hearsay), []
+    threads = [threading.Thread(target=lambda: results.append(every_step_request(task))) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * len(threads)
+    assert {r.digest() for requests in results for r in requests} == {r.digest() for r in expected}
+    assert len(task._schemas) == 3  # the entities, and the assertions with and without the negative spec
+
+
+def test_answer_schemas_dump_in_their_key_order(hearsay):
+    fs, cot = (build_baseline_prompt(hearsay, SAMPLE_TEXT, style, [], instance_id="t1") for style in ("fs", "cot"))
+    assert list(fs.response_schema) == list(cot.response_schema) == ["type", "required", "properties"]
+    assert list(fs.response_schema["properties"]) == fs.response_schema["required"] == ["answer"]
+    assert list(cot.response_schema["properties"]) == cot.response_schema["required"] == ["reasoning", "answer"]
 
 
 def test_asked_spec_subsets_get_their_own_schema_and_dump(hearsay):

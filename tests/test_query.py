@@ -111,6 +111,36 @@ def test_missing_closing_brace():
         parse_query("PREFIX : <http://x#> SELECT ?x WHERE { ?x a :C .")
 
 
+# Each syntax error with its place; one at the end of input points just past
+# the last token, and (1, 1) when there is none.
+SYNTAX_ERRORS = [
+    ("SELECT ?s WHERE { ?s ! }", "unexpected character '!'", 1, 22),
+    ("", "expected SELECT, found end of input", 1, 1),
+    ("   \n  # only a comment", "expected SELECT, found end of input", 1, 1),
+    ("SELECT ?s WHERE", "expected '{', found end of input", 1, 16),
+    ("SELECT ?s\nWHERE {\n  ?s a   # no class\n", "expected object, found end of input", 3, 7),
+    ("PREFIX h", "expected ':', found end of input", 1, 9),
+    ("ASK ?s", "expected SELECT, found 'ASK'", 1, 1),
+    ("PREFIX h <http://x#> SELECT ?s WHERE { ?s a h:X }", "expected ':' after prefix name", 1, 10),
+    ("PREFIX ?x <http://x#>", "bad prefix declaration near '?x'", 1, 8),
+    ("PREFIX h: http", "expected <url>, found 'http'", 1, 11),
+    ("SELECT", "SELECT needs at least one variable", 1, 7),
+    ("SELECT WHERE", "SELECT needs at least one variable", 1, 8),
+    ("SELECT ?s WHERE . ?s a h:Hearsay . }", "expected '{', found '.'", 1, 17),
+    ("SELECT ?s WHERE { ?s a . }", "expected object, found '.'", 1, 24),
+    ("PREFIX h: <http://x#>\nSELECT ?s WHERE { ?s a h:Hearsay .", "missing '}'", 2, 35),
+    ("PREFIX h: <http://x#> SELECT ?s WHERE { ?s a h:X . } LIMIT", "unexpected 'LIMIT' after '}'", 1, 54),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", SYNTAX_ERRORS)
+def test_syntax_errors_name_their_line_and_column(text, message, line, column):
+    with pytest.raises(QuerySyntaxError) as excinfo:
+        parse_query(text)
+    assert str(excinfo.value) == f"{message} (line {line}, column {column})"
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+
 def test_uppercase_variable_rejected():
     with pytest.raises(QuerySyntaxError):
         parse_query("PREFIX : <http://x#> SELECT ?X WHERE { ?X a :C . }")

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import copy
+import functools
 import json
+import operator
 
 import pytest
 
+from ruleweave.cli import main
 from ruleweave.errors import RuleSyntaxError, TaskDocumentError
 from ruleweave.ontology import ClassAtom, Iri, PropertyAtom, Variable
 from ruleweave.tasklib import (
@@ -234,6 +237,139 @@ UNPOPULATABLE_DOCS = [
 def test_population_that_breaks_a_domain_or_range_is_a_task_error(edit, message):
     with pytest.raises(TaskDocumentError, match=message):
         load_task(_hearsay_with(edit))
+
+
+_DROP = object()
+
+
+def _at(*path, value=_DROP):
+    """An edit that sets the document's item at path to value, or deletes it."""
+
+    def edit(document):
+        *parents, last = path
+        holder = functools.reduce(operator.getitem, parents, document)
+        if value is _DROP:
+            del holder[last]
+        else:
+            holder[last] = value
+
+    return edit
+
+
+def _unknown_prefix_in_rule_term(document):
+    rule = document["rules"][0]
+    rule["text"] = rule["text"].replace("h:Statement(?s)", "h:Statement(zz:s1)", 1)
+
+
+def _complement_pair_of_two_arities(document):
+    document["assertions"][1].update({"arity": "binary", "maps_to": "h:hasAssertion", "object": "Assertion"})
+
+
+# Single faults in the hearsay document, each with its exact message.
+DOCUMENT_FAULTS = {
+    "notes": (_at("notes", value=1), "notes: must be a string when present"),
+    "arity": (_at("assertions", 0, "arity", value="ternary"), "assertions[0].arity: must be 'unary' or 'binary'"),
+    "id": (_at("id", value=" "), "id: must be a non-empty string"),
+    "prefixes": (_at("prefixes", value=[]), "prefixes: must be a non-empty object mapping prefix to base URL"),
+    "prefix-name": (_at("prefixes", value={"9h": "http://x#"}), "prefixes: invalid prefix name '9h'"),
+    "prefix-url": (_at("prefixes", "h", value=""), "prefixes.h: base URL must be a non-empty string"),
+    "classes": (_at("classes", value=[]), "classes: must be a non-empty list"),
+    "class-type": (_at("classes", 0, value=5), "classes[0]: expected a prefixed name, got 5"),
+    "class-name": (_at("classes", 0, value="h:9bad"), "classes[0]: bad local name in 'h':'9bad'"),
+    "properties": (_at("properties", value={}), "properties: must be a list"),
+    "no-iri": (
+        _at("properties", 0, "iri"),
+        "properties[0]: must be a prefixed name or an object with an 'iri' key",
+    ),
+    "property-key": (_at("properties", 0, "label", value="x"), "properties[0]: unknown keys ['label']"),
+    "property-domain": (
+        _at("properties", 0, "domain", value="h:Nope"),
+        "properties[0]: domain class h:Nope of h:hasAssertion not declared",
+    ),
+    "subclass": (_at("subclass", value={}), "subclass: must be a list of two-element lists"),
+    "subclass-pair": (
+        _at("subclass", 0, value=["h:Hearsay", "h:Statement", "h:Statement"]),
+        "subclass[0]: must be a two-element list",
+    ),
+    "subclass-class": (
+        _at("subclass", 0, value=["h:Nope", "h:Statement"]),
+        "subclass: subclass axiom references undeclared class h:Nope",
+    ),
+    "disjoint": (
+        _at("disjoint", 0, value=["h:Hearsay", "h:Statement"]),
+        "disjoint: disjoint(h:Hearsay, h:Statement) contradicts the subclass hierarchy",
+    ),
+    "rules": (_at("rules", value=[]), "rules: must be a non-empty list"),
+    "rule-key": (_at("rules", 0, "extra", value=1), "rules[0]: must be an object with exactly 'name' and 'text'"),
+    "rule-name": (_at("rules", 0, "name", value=""), "rules[0].name: must be a non-empty string"),
+    "rule-prefix": (_unknown_prefix_in_rule_term, "rules[0].text: unknown prefix in term zz:s1"),
+    "entities": (_at("entities", value=[]), "entities: must be a non-empty list"),
+    "entity-type": (_at("entities", 0, value="Statement"), "entities[0]: must be an object"),
+    "entity-key": (_at("entities", 0, "label", value=1), "entities[0]: unknown keys ['label']"),
+    "entity-name": (_at("entities", 0, "name", value="9x"), "entities[0].name: invalid entity name '9x'"),
+    "entity-twice": (
+        _at("entities", 1, "name", value="Statement"),
+        "entities[1].name: duplicate entity name 'Statement'",
+    ),
+    "entity-class": (_at("entities", 0, "class", value="h:Nope"), "entities[0].class: class h:Nope not declared"),
+    "required": (_at("entities", 0, "required", value="yes"), "entities[0].required: must be true or false"),
+    "assertions": (_at("assertions", value=[]), "assertions: must be a non-empty list"),
+    "assertion-type": (_at("assertions", 0, value="x"), "assertions[0]: must be an object"),
+    "assertion-key": (_at("assertions", 0, "label", value=1), "assertions[0]: unknown keys ['label']"),
+    "assertion-twice": (
+        _at("assertions", 1, "name", value="IsOutOfCourt"),
+        "assertions[1].name: duplicate assertion name 'IsOutOfCourt'",
+    ),
+    "binary-maps-to": (
+        _at("assertions", 2, "maps_to", value="h:Statement"),
+        "assertions[2].maps_to: binary spec needs a declared property, got h:Statement",
+    ),
+    "role": (
+        _at("assertions", 1, "complement_role", value="positive"),
+        "assertions[1].complement_role: only 'negative' is allowed, got 'positive'",
+    ),
+    "role-alone": (
+        _at("assertions", 2, "complement_role", value="negative"),
+        "assertions[2].complement_role: set on a spec without complement_of",
+    ),
+    "complement-type": (
+        _at("assertions", 0, "complement_of", value=1),
+        "assertions[0].complement_of: must be an assertion name",
+    ),
+    "pair-arity": (_complement_pair_of_two_arities, "assertions[0]: complement pair members must share an arity"),
+    "target": (_at("target", value=[]), "target: must be an object with 'class', 'entity' and 'labels'"),
+    "target-class": (_at("target", "class", value="h:Nope"), "target.class: class h:Nope not declared"),
+}
+
+
+@pytest.mark.parametrize("edit, message", DOCUMENT_FAULTS.values(), ids=DOCUMENT_FAULTS)
+def test_document_faults_name_their_path(edit, message):
+    with pytest.raises(TaskDocumentError) as caught:
+        load_task(_hearsay_with(edit))
+    assert str(caught.value) == message
+
+
+def test_a_document_that_is_not_an_object_is_rejected():
+    with pytest.raises(TaskDocumentError) as caught:
+        load_task([])
+    assert str(caught.value) == "task document must be a JSON object"
+
+
+def test_a_bare_string_property_loads_without_domain_or_range():
+    document = builtin_task_document("hearsay")
+    document["properties"][0] = "h:hasAssertion"
+    prop = load_task(document).tbox.properties[Iri("h", "hasAssertion")]
+    assert (prop.domain, prop.range) == (None, None)
+
+
+@pytest.mark.parametrize("fault", ["notes", "arity"])
+def test_validate_exits_2_on_a_document_fault(fault, capsys, tmp_path):
+    edit, message = DOCUMENT_FAULTS[fault]
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(_hearsay_with(edit)), encoding="utf-8")
+    assert main(["validate", "--task", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"task error: {message}\n")
 
 
 def complemented_doc():
