@@ -153,11 +153,10 @@ def parse_query(text: str) -> Query:
         prefixes[name] = iriref.value[1:-1]
 
     parser.expect_keyword("SELECT")
-    select_vars: list[str] = []
+    selected: list[Token] = []
     while (token := parser.peek()) is not None and token.kind == "var":
-        parser.next("variable")
-        select_vars.append(token.value[1:])
-    if not select_vars:  # token is the peek that ended the loop
+        selected.append(parser.next("variable"))
+    if not selected:  # token is the peek that ended the loop
         where = (token.line, token.column) if token else parser.end
         raise QuerySyntaxError("SELECT needs at least one variable", *where)
 
@@ -169,7 +168,7 @@ def parse_query(text: str) -> Query:
     def resolve(token: Token) -> ResolvedName:
         prefix, local = token.value.split(":", 1)
         if prefix not in prefixes:
-            raise QuerySyntaxError(f"unknown prefix {prefix!r}:", token.line, token.column)
+            raise QuerySyntaxError(f"unknown prefix {prefix!r}", token.line, token.column)
         return ResolvedName(url=prefixes[prefix] + local, rendered=token.value)
 
     def parse_term(role: str, allow_a: bool = False) -> Union[PatternTerm, str]:
@@ -209,7 +208,7 @@ def parse_query(text: str) -> Query:
             break
 
     if not patterns:
-        raise QuerySyntaxError("empty pattern list", 1, 1)
+        raise QuerySyntaxError("empty pattern list", token.line, token.column)  # at the '}'
 
     trailing = parser.peek()
     if trailing is not None:
@@ -221,11 +220,11 @@ def parse_query(text: str) -> Query:
         for term in (pattern.subject, pattern.predicate, pattern.object)
         if isinstance(term, Variable)
     }
-    for name in select_vars:
-        if name not in bound:
-            raise QuerySyntaxError(f"select variable ?{name} appears in no pattern", 1, 1)
+    for token in selected:
+        if token.value[1:] not in bound:
+            raise QuerySyntaxError(f"select variable {token.value} appears in no pattern", token.line, token.column)
 
-    return Query(prefixes=prefixes, select_vars=select_vars, patterns=patterns)
+    return Query(prefixes=prefixes, select_vars=[token.value[1:] for token in selected], patterns=patterns)
 
 
 BindingRow = tuple[Iri, ...]

@@ -111,8 +111,8 @@ def test_missing_closing_brace():
         parse_query("PREFIX : <http://x#> SELECT ?x WHERE { ?x a :C .")
 
 
-# Each syntax error with its place; one at the end of input points just past
-# the last token, and (1, 1) when there is none.
+# Each syntax error with its place: the offending token, or for one at the end
+# of input the place just past the last token, and (1, 1) when there is none.
 SYNTAX_ERRORS = [
     ("SELECT ?s WHERE { ?s ! }", "unexpected character '!'", 1, 22),
     ("", "expected SELECT, found end of input", 1, 1),
@@ -130,6 +130,9 @@ SYNTAX_ERRORS = [
     ("SELECT ?s WHERE { ?s a . }", "expected object, found '.'", 1, 24),
     ("PREFIX h: <http://x#>\nSELECT ?s WHERE { ?s a h:Hearsay .", "missing '}'", 2, 35),
     ("PREFIX h: <http://x#> SELECT ?s WHERE { ?s a h:X . } LIMIT", "unexpected 'LIMIT' after '}'", 1, 54),
+    ("SELECT ?s WHERE { ?s a h:X . }", "unknown prefix 'h'", 1, 24),
+    ("SELECT ?s WHERE {\n}", "empty pattern list", 2, 1),
+    ("PREFIX : <http://x#>\nSELECT ?x ?y\nWHERE { ?x a :C . }", "select variable ?y appears in no pattern", 2, 11),
 ]
 
 
