@@ -47,7 +47,7 @@ from ruleweave.extraction import (
     sanitize_local_name,
 )
 from ruleweave.ontology import Iri
-from ruleweave.tasklib import builtin_task, builtin_task_document, load_task
+from ruleweave.tasklib import builtin_task
 
 SAMPLE_TEXT = (
     "At trial, a witness recounts that her neighbor told her the day after the "
@@ -534,8 +534,7 @@ def test_schema_memos_give_each_task_its_own_prompts(hearsay):
 def test_a_task_keeps_its_own_record_schemas(hearsay):
     first, again = (build_entity_prompt(hearsay, SAMPLE_TEXT, instance_id=i) for i in ("t1", "t2"))
     assert again.response_schema is first.response_schema
-    other = load_task(builtin_task_document("hearsay"))
-    fresh = build_entity_prompt(other, SAMPLE_TEXT, instance_id="t1")
+    fresh = build_entity_prompt(builtin_task("hearsay"), SAMPLE_TEXT, instance_id="t1")
     assert fresh.response_schema == first.response_schema and fresh.response_schema is not first.response_schema
     copied = dataclasses.replace(hearsay)
     assert copied._schemas == {} and copied == hearsay and hash(copied) == hash(hearsay)
