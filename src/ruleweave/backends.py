@@ -31,11 +31,13 @@ _DIGEST_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
 class _Schema(dict):
-    """A read-only response schema shared by its requests, with its prompt and digest dumps made once."""
+    """A read-only response schema shared by its requests, with three pieces made once: ``prompt_dump``
+    (the text that ends each prompt), ``prompt_json`` (that text as a JSON string) and ``digest_dump``."""
 
     def __init__(self, schema: dict):
         super().__init__(schema)
         self.prompt_dump = json.dumps(schema, indent=2, ensure_ascii=False)
+        self.prompt_json = _DIGEST_JSON.encode(self.prompt_dump)
         self.digest_dump = _DIGEST_JSON.encode(schema)
 
 
@@ -56,14 +58,22 @@ class ChatRequest:
             raise BackendError("response_schema must be non-empty")
 
     def digest(self) -> str:
-        """sha256 of the seven fields as one ``_DIGEST_JSON`` object; the schema sorts after model."""
-        schema = self.response_schema
-        schema_dump = schema.digest_dump if isinstance(schema, _Schema) else _DIGEST_JSON.encode(schema)
-        head = _DIGEST_JSON.encode({"instance_id": self.instance_id, "model": self.model})
-        tail = _DIGEST_JSON.encode(
-            {"step": self.step, "system": self.system, "temperature": self.temperature, "user": self.user}
+        """sha256 of the seven fields as one ``_DIGEST_JSON`` object, written key by key in sorted order.
+        A ``_Schema`` goes in as its ``digest_dump``. JSON escapes a string one character at a time, so
+        when ``user`` ends with that schema's ``prompt_dump`` only the rest is escaped, joined to
+        ``prompt_json``; any other ``user`` is escaped whole."""
+        encode, schema, user = _DIGEST_JSON.encode, self.response_schema, self.user
+        cached = isinstance(schema, _Schema)
+        if cached and isinstance(user, str) and user.endswith(schema.prompt_dump):
+            user_json = encode(user[: len(user) - len(schema.prompt_dump)])[:-1] + schema.prompt_json[1:]
+        else:
+            user_json = encode(user)
+        payload = (
+            f'{{"instance_id": {encode(self.instance_id)}, "model": {encode(self.model)}, '
+            f'"response_schema": {schema.digest_dump if cached else encode(schema)}, '
+            f'"step": {encode(self.step)}, "system": {encode(self.system)}, '
+            f'"temperature": {encode(self.temperature)}, "user": {user_json}}}'
         )
-        payload = f'{head[:-1]}, "response_schema": {schema_dump}, {tail[1:]}'
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
