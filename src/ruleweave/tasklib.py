@@ -225,6 +225,7 @@ def _load_tbox(doc: dict, prefixes: dict[str, str]) -> TBox:
     properties = doc.get("properties")
     if not isinstance(properties, list):
         raise _fail("properties", "must be a list")
+    declared_at: dict[Iri, int] = {}
     for i, item in enumerate(properties):
         path = f"properties[{i}]"
         if isinstance(item, str):
@@ -240,6 +241,9 @@ def _load_tbox(doc: dict, prefixes: dict[str, str]) -> TBox:
             if item.get(side) is not None
         }
         iri = _parse_name(item["iri"], prefixes, f"{path}.iri")
+        if iri in declared_at:
+            raise _fail(path, f"{iri} is already declared at properties[{declared_at[iri]}]")
+        declared_at[iri] = i
         if iri == BELONGS_TO_CASE and endpoints:
             raise _fail(path, f"{iri} is reserved and takes no domain or range")
         try:

@@ -88,3 +88,17 @@ def test_a_single_pair_has_degenerate_quartiles():
 def test_unpaired_runs_are_rejected():
     with pytest.raises(ValueError, match="2 base runs but 1 change runs"):
         ab.summarize([result(50.0, 20.0)] * 2, [result(40.0, 25.0)], END_TO_END)
+
+
+def test_each_summary_line_shows_the_gain_flag_and_the_base_spread():
+    base = [result(ms, 1000 / ms) for ms in BASE_MS]
+    gained = ab.summarize(base, [result(ms, 1000 / ms) for ms in CHANGE_MS], END_TO_END)["metrics"]
+    noise = ab.summarize(base, [result(ms, 1000 / ms) for ms in BASE_MS[1:] + BASE_MS[:1]], END_TO_END)
+    assert ab.summary_line("op_ms_p50", gained["op_ms_p50"]) == (
+        "op_ms_p50           52.0000 ->      34.5000 ms   "
+        "change better in 90% of pairs, base spread 2.0000, gain: true"
+    )
+    assert ab.summary_line("op_ms_p50", noise["metrics"]["op_ms_p50"]) == (
+        "op_ms_p50           52.0000 ->      52.0000 ms   "
+        "change better in 40% of pairs, base spread 2.0000, gain: false"
+    )

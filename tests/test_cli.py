@@ -16,7 +16,7 @@ import pytest
 from ruleweave import cli
 from ruleweave.backends import BackendError, BackendResponse
 from ruleweave.cli import main
-from ruleweave.tasklib import builtin_task_document
+from ruleweave.tasklib import BUILTIN_TASK_IDS, builtin_task_document
 
 HEARSAY_CLASS_QUERY = (
     "PREFIX h: <http://example.org/hearsay#> SELECT ?s WHERE { ?s a h:Hearsay . }"
@@ -788,3 +788,108 @@ def test_query_over_corrupted_snapshots_never_raises(capsys, tmp_path):
         assert code in (0, 2, 4), (triple, err)
         if name == "origin" and not _valid_origin(triple[name]):
             assert code == 4, (triple, err)
+
+
+# -- refused arguments, configs and trace files, each with its exact message -------------
+
+
+def test_a_task_that_is_neither_a_builtin_id_nor_a_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    code, out, err = run_cli(capsys, ["validate", "--task", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"config error: --task {str(path)!r} is neither a built-in id "
+        f"({', '.join(BUILTIN_TASK_IDS)}) nor an existing file\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{nope", "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ("[1]", "config must be a JSON object"),
+        ('{"colour": 1}', "unknown config key 'colour'"),
+    ],
+    ids=["bad-json", "not-an-object", "unknown-key"],
+)
+def test_a_config_file_that_is_not_a_config_exits_2(capsys, tmp_path, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_hearsay(capsys, tmp_path / "out", "--config", str(path))
+    assert (code, out, err) == (2, "", f"config error: {path}: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_scripted_run_of_a_task_file_needs_a_replay(capsys, tmp_path):
+    document = {**builtin_task_document("hearsay"), "id": "custom"}
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    corpus = str(resources.files("ruleweave").joinpath("data/corpus/hearsay.jsonl"))
+    argv = ["run", "--task", str(path), "--dataset", corpus, "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", "config error: scripted backend needs --replay for a custom task\n")
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ((), "http backend needs a model (--model or config file)"),
+        (("--model", "m"), "http backend needs an endpoint (--endpoint or config file)"),
+    ],
+    ids=["no-model", "no-endpoint"],
+)
+def test_an_http_run_without_a_model_or_endpoint_exits_2(capsys, tmp_path, extra, message):
+    code, out, err = run_hearsay(capsys, tmp_path / "out", "--backend", "http", *extra)
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+def test_report_over_a_directory_without_traces_exits_4(capsys, tmp_path):
+    code, out, err = run_cli(capsys, ["report", str(tmp_path)])
+    assert (code, out, err) == (4, "", f"dataset error: no traces.jsonl files found under: {tmp_path}\n")
+
+
+def test_query_reads_the_task_from_a_task_file(capsys, tmp_path):
+    trace = sd_trace(capsys, tmp_path)
+    path = tmp_path / "hearsay.json"
+    path.write_text(json.dumps(builtin_task_document("hearsay")), encoding="utf-8")
+    argv = ["query", "--trace", trace, "--query", HEARSAY_CLASS_QUERY]
+    code, expected, _ = run_cli(capsys, argv)
+    assert code == 0 and expected.startswith("?s\n")
+    assert run_cli(capsys, [*argv, "--task", str(path)]) == (0, expected, "")
+
+
+def write_trace(path, lines) -> str:
+    """Write dicts one per line and strings as they are; return the path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = "".join(line if isinstance(line, str) else json.dumps(line) + "\n" for line in lines)
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_a_trace_of_a_task_that_is_not_built_in_needs_its_document(capsys, tmp_path):
+    trace = write_trace(tmp_path / "traces.jsonl", [{**_HEADER, "task": "custom"}, _INSTANCE])
+    code, out, err = run_cli(capsys, ["query", "--trace", trace, "--query", HEARSAY_CLASS_QUERY])
+    assert (code, out) == (2, "")
+    assert err == "config error: trace file is for task 'custom'; pass --task with its document\n"
+
+
+def test_blank_trace_lines_are_skipped(capsys, tmp_path):
+    plain = write_trace(tmp_path / "plain" / "traces.jsonl", [_HEADER, _INSTANCE])
+    spaced = write_trace(tmp_path / "spaced" / "traces.jsonl", ["\n", _HEADER, "  \n", _INSTANCE, "\n"])
+    code, out, err = run_cli(capsys, ["report", plain])
+    assert (code, err) == (0, "") and "| SD | 100.0 |" in out
+    assert run_cli(capsys, ["report", spaced]) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "lines, where, message",
+    [
+        ([_HEADER, {**_INSTANCE, "type": "note"}], ":2", "unknown trace record type"),
+        ([_INSTANCE], "", "missing header line"),
+    ],
+    ids=["unknown-type", "no-header"],
+)
+def test_a_trace_with_an_unknown_record_or_no_header_exits_4(capsys, tmp_path, lines, where, message):
+    trace = write_trace(tmp_path / "traces.jsonl", lines)
+    code, out, err = run_cli(capsys, ["report", trace])
+    assert (code, out, err) == (4, "", f"data error: {trace}{where}: {message}\n")

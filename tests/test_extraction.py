@@ -16,6 +16,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruleweave.backends import (
     BackendError,
@@ -24,6 +26,7 @@ from ruleweave.backends import (
     HttpBackend,
     ScriptedBackend,
     _RateLimiter,
+    _Schema,
     parse_json_payload,
 )
 from ruleweave.errors import MalformedResponseError, NotExtractable
@@ -519,6 +522,39 @@ def test_digest_of_a_hand_built_request_hashes_the_whole_dict_dump(schema):
     assert request.digest() == old_formula_digest(request)
 
 
+# Quotes, backslashes and control characters, which JSON escapes; DEL, which it
+# does not; and non-ASCII text, which it keeps as it is only under
+# ensure_ascii=False.
+_TRICKY_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x08\x1f\x7f\n\t\u2028é証✓'), st.characters(codec="utf-8")),
+    max_size=12,
+)
+_REQUEST_KINDS = ("ends-with-dump", "repair-note", "other-dump", "plain-dict", "dump-only")
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(
+    st.sampled_from(_REQUEST_KINDS),
+    st.tuples(_TRICKY_TEXT, _TRICKY_TEXT, _TRICKY_TEXT, _TRICKY_TEXT, _TRICKY_TEXT, _TRICKY_TEXT),
+    st.one_of(st.integers(0, 3), st.floats(0, 2)),
+)
+def test_digest_of_every_kind_of_request_hashes_the_whole_dict_dump(kind, texts, temperature):
+    system, model, instance_id, step, head, description = texts
+    schema = _Schema({"type": "object", "description": description, "required": ["answer"]})
+    other = _Schema({"type": "object", "description": description + "!"})
+    user, response_schema = head + schema.prompt_dump, schema
+    if kind == "repair-note":
+        user += "\n\nYour previous reply was rejected: " + description
+    elif kind == "other-dump":
+        user = head + other.prompt_dump
+    elif kind == "plain-dict":
+        response_schema = dict(schema)
+    elif kind == "dump-only":
+        user = schema.prompt_dump
+    request = ChatRequest(system, user, response_schema, model, instance_id, step, temperature)
+    assert request.digest() == old_formula_digest(request)
+
+
 def test_schema_memos_give_each_task_its_own_prompts(hearsay):
     first = every_step_request(hearsay)
     other = every_step_request(builtin_task("clinical_eligibility"))
@@ -629,6 +665,49 @@ def test_scripted_backend_rejects_non_string_record_fields(record, field):
     records = [{"instance_id": "t00", "step": "fs", "response": "{}"}, record]
     with pytest.raises(BackendError, match=f"replay record 1: {field} must be a string"):
         ScriptedBackend.from_records(records)
+
+
+def test_a_request_needs_a_response_schema():
+    with pytest.raises(BackendError) as caught:
+        ChatRequest("s", "u", {}, model="m", instance_id="x", step="fs")
+    assert str(caught.value) == "response_schema must be non-empty"
+
+
+def test_scripted_backend_rejects_a_record_without_step():
+    records = [{"instance_id": "t01", "response": "{}"}]
+    with pytest.raises(BackendError) as caught:
+        ScriptedBackend.from_records(records)
+    assert str(caught.value) == "replay record 0 needs instance_id, step, response"
+
+
+def _missing_replay_file(tmp_path):
+    path = tmp_path / "absent.json"
+    return path, f"cannot load replay file {path}: [Errno 2] No such file or directory: '{path}'"
+
+
+def _unparsable_replay_file(tmp_path):
+    path = tmp_path / "replay.json"
+    path.write_text("{nope", encoding="utf-8")
+    detail = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    return path, f"cannot load replay file {path}: {detail}"
+
+
+def _object_replay_file(tmp_path):
+    path = tmp_path / "replay.json"
+    path.write_text('{"instance_id": "t01"}', encoding="utf-8")
+    return path, f"replay file {path} must hold a JSON array"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_missing_replay_file, _unparsable_replay_file, _object_replay_file],
+    ids=["missing", "bad-json", "object"],
+)
+def test_scripted_backend_rejects_a_replay_file_it_cannot_use(make, tmp_path):
+    path, message = make(tmp_path)
+    with pytest.raises(BackendError) as caught:
+        ScriptedBackend.from_file(path)
+    assert str(caught.value) == message
 
 
 class _SpyBackend:
@@ -839,6 +918,20 @@ def test_http_backend_does_not_forward_the_key_on_a_redirect(loopback):
 def test_http_backend_rejects_an_endpoint_that_is_not_an_http_url(endpoint):
     with pytest.raises(BackendError, match=f"endpoint {re.escape(repr(endpoint))} must be an http"):
         HttpBackend(endpoint, "m", api_key="k")
+
+
+@pytest.mark.parametrize(
+    "endpoint, message",
+    [
+        ("", "endpoint must be set for the HTTP backend"),
+        ("http://[::1", "endpoint 'http://[::1' must be an http:// or https:// URL with a host"),
+    ],
+    ids=["empty", "unclosed-bracket"],
+)
+def test_http_backend_rejects_an_empty_or_unparsable_endpoint(endpoint, message):
+    with pytest.raises(BackendError) as caught:
+        HttpBackend(endpoint, "m", api_key="k")
+    assert str(caught.value) == message
 
 
 def test_http_backend_gives_up_after_three_server_errors(monkeypatch, loopback):

@@ -372,6 +372,29 @@ def test_validate_exits_2_on_a_document_fault(fault, capsys, tmp_path):
     assert (captured.out, captured.err) == ("", f"task error: {message}\n")
 
 
+# A second listing would silently replace the first one's domain and range.
+PROPERTIES_LISTED_TWICE = {
+    "bare-repeat": (["h:hasAssertion"], "properties[3]: h:hasAssertion is already declared at properties[0]"),
+    "reserved-twice": (
+        ["sd:belongsToCase"] * 2,
+        "properties[4]: sd:belongsToCase is already declared at properties[3]",
+    ),
+}
+
+
+@pytest.mark.parametrize("appended, message", PROPERTIES_LISTED_TWICE.values(), ids=PROPERTIES_LISTED_TWICE)
+def test_a_property_listed_twice_is_a_document_fault(appended, message, capsys, tmp_path):
+    document = _hearsay_with(lambda document: document["properties"].extend(appended))
+    with pytest.raises(TaskDocumentError) as caught:
+        load_task(document)
+    assert str(caught.value) == message
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["validate", "--task", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"task error: {message}\n")
+
+
 def complemented_doc():
     doc = copy.deepcopy(MINIMAL_DOC)
     doc["properties"].append(

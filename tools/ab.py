@@ -16,7 +16,9 @@ The output holds, per end-to-end metric of BENCHMARK.json, both sides'
 samples, medians and quartiles and the share of pairs the change won (ties
 count for neither side), plus the seeds, the pair count, both commits, the
 Python version and the CPU count. It says "claim": false when there are
-fewer than MIN_PAIRS pairs or any run failed a check or an op.
+fewer than MIN_PAIRS pairs or any run failed a check or an op. The last
+lines printed give, per metric, both medians, the change's share of wins,
+the base's quartile spread and the gain flag, then the claim flag.
 """
 
 from __future__ import annotations
@@ -100,6 +102,17 @@ def summarize(base: list[dict], change: list[dict], end_to_end: list[dict]) -> d
     return {"claim": len(base) >= MIN_PAIRS and clean, "all_runs_correct": clean, "metrics": metrics}
 
 
+def summary_line(name: str, metric: dict) -> str:
+    """One metric of summarize() as a line: both medians, the change's share
+    of pair wins, the base's quartile spread and the gain flag."""
+    base, change = metric["base"], metric["change"]
+    return (
+        f"{name:14s} {base['median']:12.4f} -> {change['median']:12.4f} {metric['unit']:4s} "
+        f"change better in {metric['change_better_share']:.0%} of pairs, "
+        f"base spread {base['q3'] - base['q1']:.4f}, gain: {str(metric['gain']).lower()}"
+    )
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True)
@@ -147,10 +160,7 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     for name, metric in summary["metrics"].items():
-        print(
-            f"{name:14s} {metric['base']['median']:12.4f} -> {metric['change']['median']:12.4f} "
-            f"{metric['unit']:4s} change better in {metric['change_better_share']:.0%} of pairs"
-        )
+        print(summary_line(name, metric))
     print(f"claim: {str(summary['claim']).lower()}")
     return 0
 
