@@ -80,24 +80,28 @@ def _task_document(value: str) -> dict:
     if value in BUILTIN_TASK_IDS:
         return builtin_task_document(value)
     path = Path(value)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(
             f"--task {value!r} is neither a built-in id ({', '.join(BUILTIN_TASK_IDS)}) "
             "nor an existing file"
         )
+    return _read_json(path, TaskDocumentError)
+
+
+def _read_json(path: Path, error: type[RuleweaveError]):
+    """A JSON file's value; text that is not UTF-8 or not JSON raises `error`."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
-        raise TaskDocumentError(f"{path}: invalid JSON ({exc.msg})") from exc
+        raise error(f"{path}: invalid JSON ({exc.msg})") from exc
 
 
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from exc
+    raw = _read_json(Path(path), ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - set(_CONFIG_TYPES))

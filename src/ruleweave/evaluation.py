@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .backends import Backend
 from .errors import DatasetError, StatsError
-from .extraction import sanitize_local_name
+from .extraction import case_individual, mint_individual
 from .pipeline import (
     ALL_CONDITIONS,
     OUTCOME_ERROR,
@@ -36,7 +36,7 @@ from .pipeline import (
     evaluate_instance,
 )
 from .stats import paired_t_test
-from .tasklib import BUILTIN_TASK_IDS, INSTANCE_PREFIX, NEGATIVE_LABEL, POSITIVE_LABEL, TaskDefinition
+from .tasklib import BUILTIN_TASK_IDS, NEGATIVE_LABEL, POSITIVE_LABEL, TaskDefinition
 
 LABELS = (POSITIVE_LABEL, NEGATIVE_LABEL)
 SPLITS = ("train", "test")
@@ -453,13 +453,10 @@ def _check_minted_names(entity_names: Sequence[str], instance_ids: Iterable[str]
     trace would fold the two instances' facts into that one individual."""
     owner: dict[str, str] = {}
     for instance in instance_ids:
-        for name in (instance, *(f"{instance}_{entity}" for entity in entity_names)):
-            local = sanitize_local_name(name)
-            other = owner.setdefault(local, instance)
+        for name in (case_individual(instance), *(mint_individual(instance, e) for e in entity_names)):
+            other = owner.setdefault(name, instance)
             if other != instance:
-                raise DatasetError(
-                    f"instance ids {other!r} and {instance!r} both mint the individual {INSTANCE_PREFIX}:{local}"
-                )
+                raise DatasetError(f"instance ids {other!r} and {instance!r} both mint the individual {name}")
 
 
 def run_condition(

@@ -6,11 +6,13 @@ The ABox holds individuals plus class-membership and property assertions,
 each tagged with an origin: either Asserted (carrying a natural-language
 justification) or Inferred (carrying the rule name that produced it).
 
-Identifiers are short prefix:Local names, each an Iri: a str subclass whose
-value is "prefix:Local" and whose constructor checks both names, so copies
-and pickles pass the same checks, and JSON, TSV and the in-memory ABox hold
-one string. A prefix table maps prefixes to base URLs only when something
-needs full URLs (queries, serialization).
+Identifiers are short prefix:Local names. A name is an exact, interned str
+"prefix:Local", made by `Iri(prefix, local)` or `Iri.parse(text)`, which
+check both parts; `name.partition(":")` gives them back. Its repr is the
+string's own and it pickles as a plain str, so JSON, TSV and the in-memory
+ABox hold one string, which the garbage collector never tracks. A prefix
+table maps prefixes to base URLs only when something needs full URLs
+(queries, serialization).
 
 One deliberate deviation from OWL semantics: declared property domains and
 ranges are validated eagerly when an assertion is added through the public
@@ -21,6 +23,7 @@ the offending assertion rather than as downstream misclassification.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -56,46 +59,35 @@ def truncate_justification(text: str) -> str:
     return clipped + _TRUNCATION_MARKER
 
 
-class Iri(str):
-    """A prefix:Local identifier: the string "prefix:Local", built only after
-    both names pass the name grammar, so it equals, hashes and orders as that
+class Iri:
+    """The two checked ways to make a name; each returns the exact, interned
+    str "prefix:Local", never an instance of this class. A name orders as that
     string. That order is used anywhere the package promises deterministic
     iteration; it is the (prefix, local) order except where one prefix is a
     proper prefix of another and the longer goes on with a digit, because ":"
     sorts after the digits ("e2:x" < "e:x")."""
 
-    __slots__ = ()
-
-    def __new__(cls, prefix: str, local: str) -> "Iri":
+    def __new__(cls, prefix: str, local: str) -> str:
         if not prefix or not _NAME_RE.match(prefix):
             raise IriError(f"bad prefix in {prefix!r}:{local!r}")
         if not local or not _NAME_RE.match(local):
             raise IriError(f"bad local name in {prefix!r}:{local!r}")
-        return super().__new__(cls, f"{prefix}:{local}")
+        return sys.intern(f"{prefix}:{local}")
 
-    @property
-    def prefix(self) -> str:
-        return self.partition(":")[0]
-
-    @property
-    def local(self) -> str:
-        return self.partition(":")[2]
-
-    def __repr__(self) -> str:
-        return f"Iri(prefix={self.prefix!r}, local={self.local!r})"
-
-    # Every pickle protocol rebuilds through `__new__`, so a tampered name is refused.
-    def __reduce__(self):
-        return (Iri, (self.prefix, self.local))
-
-    @classmethod
-    def parse(cls, text: str) -> "Iri":
+    @staticmethod
+    def parse(text: str) -> str:
         if not isinstance(text, str) or ":" not in text:
             raise IriError(f"expected prefix:Local, got {text!r}")
-        if _IRI_RE.match(text) is not None:  # both names already match the grammar `__new__` checks
-            return str.__new__(cls, text)
+        if type(text) is str and _IRI_RE.match(text) is not None:  # intern takes no subclass
+            return sys.intern(text)
         prefix, local = text.split(":", 1)
-        return cls(prefix, local)  # raises the IriError that names the bad part
+        return Iri(prefix, local)  # raises the IriError that names the bad part
+
+
+def _require_name(value: object) -> None:
+    """Refuse anything but a well-formed prefix:Local string."""
+    if not isinstance(value, str) or _IRI_RE.match(value) is None:
+        raise IriError(f"expected prefix:Local, got {value!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -225,7 +217,7 @@ class TBox:
     # -- declarations ------------------------------------------------------
 
     def declare_class(self, iri: Iri) -> None:
-        self._require_iri(iri)
+        _require_name(iri)
         self.classes.add(iri)
         self.closure = _close(self.classes, self.subclass_axioms)
 
@@ -235,7 +227,7 @@ class TBox:
         domain: Optional[Iri] = None,
         range: Optional[Iri] = None,
     ) -> None:
-        self._require_iri(iri)
+        _require_name(iri)
         for endpoint, label in ((domain, "domain"), (range, "range")):
             if endpoint is not None and endpoint not in self.classes:
                 raise UndeclaredError(f"{label} class {endpoint} of {iri} not declared")
@@ -280,10 +272,6 @@ class TBox:
                     )
         self.rules.append(rule)
         self._plans = None
-
-    def _require_iri(self, iri: Iri) -> None:
-        if not isinstance(iri, Iri):
-            raise IriError(f"expected an Iri, got {type(iri).__name__}")
 
     def __repr__(self) -> str:
         return (
@@ -356,11 +344,14 @@ class ABox:
     # -- public, validated entry points -------------------------------------
 
     def assert_class(self, individual: Iri, cls: Iri, justification: str) -> None:
+        _require_name(individual)
         self._insert_class(individual, cls, Asserted(justification))
 
     def assert_property(
         self, subject: Iri, prop: Iri, obj: Iri, justification: str
     ) -> None:
+        _require_name(subject)
+        _require_name(obj)
         self._check_property(subject, prop, obj)
         self._insert_property(subject, prop, obj, Asserted(justification))
 

@@ -175,8 +175,9 @@ def _parse_name(text: Any, prefixes: dict[str, str], path: str) -> Iri:
         iri = Iri.parse(text)
     except IriError as exc:
         raise _fail(path, str(exc)) from exc
-    if iri.prefix not in prefixes:
-        raise _fail(path, f"unknown prefix {iri.prefix!r} in {text!r}")
+    prefix = iri.partition(":")[0]
+    if prefix not in prefixes:
+        raise _fail(path, f"unknown prefix {prefix!r} in {text!r}")
     return iri
 
 
@@ -286,7 +287,7 @@ def _load_tbox(doc: dict, prefixes: dict[str, str]) -> TBox:
             rule = parse_rule(name, item["text"])
             for atom in (*rule.antecedent, rule.consequent):
                 for term in atom_terms(atom):
-                    if isinstance(term, Iri) and term.prefix not in prefixes:
+                    if not isinstance(term, Variable) and term.partition(":")[0] not in prefixes:
                         raise _fail(f"{path}.text", f"unknown prefix in term {term}")
             tbox.add_rule(rule)
         except RuleweaveError as exc:

@@ -226,9 +226,9 @@ def brute_force_query(query, tbox: TBox, abox: ABox):
     url_to_iri: dict[str, Iri] = {}
     universe: set[Iri] = set(abox.individuals) | set(tbox.classes) | set(tbox.properties)
     for iri in universe:
-        base = tbox.prefixes.get(iri.prefix)
+        base = tbox.prefixes.get(iri.partition(":")[0])
         if base is not None:
-            url_to_iri[base + iri.local] = iri
+            url_to_iri[base + iri.partition(":")[2]] = iri
 
     patterns = []
     for pattern in query.patterns:

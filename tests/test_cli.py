@@ -704,6 +704,15 @@ def test_malformed_snapshot_exits_4(capsys, tmp_path, snapshot, message):
     assert message in err
 
 
+def test_a_snapshot_that_is_a_json_object_exits_4(capsys, tmp_path):
+    path = tmp_path / "traces.jsonl"
+    lines = [_HEADER, {**_INSTANCE, "abox_snapshot": _TRIPLE}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["query", "--trace", str(path), "--query", HEARSAY_CLASS_QUERY])
+    assert (code, out) == (4, "")
+    assert err == "data error: instance 't01': abox_snapshot is not a list\n"
+
+
 _UNDECLARED = {**_TRIPLE, "object": "h:Nope"}
 _BAD_SUBJECT = {**_TRIPLE, "subject": 7}
 
@@ -801,6 +810,40 @@ def test_a_task_that_is_neither_a_builtin_id_nor_a_file_exits_2(capsys, tmp_path
         f"config error: --task {str(path)!r} is neither a built-in id "
         f"({', '.join(BUILTIN_TASK_IDS)}) nor an existing file\n"
     )
+
+
+def test_a_task_that_names_a_directory_exits_2_like_a_missing_file(capsys, tmp_path):
+    code, out, err = run_cli(capsys, ["validate", "--task", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"config error: --task {str(tmp_path)!r} is neither a built-in id "
+        f"({', '.join(BUILTIN_TASK_IDS)}) nor an existing file\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["validate", "--task", "{path}"], "task"),
+        (["run", "--task", "hearsay", "--out", "{out}", "--config", "{path}"], "config"),
+    ],
+    ids=["task", "config"],
+)
+def test_a_task_or_config_file_that_is_not_utf8_exits_2(capsys, tmp_path, argv, kind):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{")
+    argv = [arg.format(path=path, out=tmp_path / "out") for arg in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"{kind} error: {path}: not UTF-8 (invalid start byte at byte 0)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_missing_config_file_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    code, out, err = run_hearsay(capsys, tmp_path / "out", "--config", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith("data error: [Errno 2] No such file or directory")
 
 
 @pytest.mark.parametrize(

@@ -223,6 +223,12 @@ def test_parse_entity_response_mints_individuals(hearsay):
     assert entities.get("Assertion").span == "the brakes were faulty"
 
 
+def test_an_extraction_lookup_of_an_unknown_name_raises_key_error(hearsay):
+    entities = parsed_entities(hearsay)
+    with pytest.raises(KeyError, match="Nope"):
+        entities.get("Nope")
+
+
 def test_parse_entity_response_rejects_duplicate_ids(hearsay):
     reply = json.loads(entity_reply())
     reply["entities"][1]["individual"] = "e1"
