@@ -105,8 +105,7 @@ def test_iri_equality_ordering_and_repr_ignore_the_cached_hash():
 
 def test_a_name_is_an_exact_interned_str():
     iri = Iri("h", "x")
-    assert type(iri) is str and type(Iri.parse("h:x")) is str
-    assert iri is Iri.parse("h:x")
+    assert type(iri) is str and iri is Iri.parse("h:x")
     assert Iri.parse("".join(["h:", "x"])) is iri
     assert not isinstance(iri, Iri)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
