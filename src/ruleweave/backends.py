@@ -145,7 +145,7 @@ class ScriptedBackend:
         try:
             with open(path, encoding="utf-8") as handle:
                 records = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
             raise BackendError(f"cannot load replay file {path}: {exc}") from exc
         if not isinstance(records, list):
             raise BackendError(f"replay file {path} must hold a JSON array")

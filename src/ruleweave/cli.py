@@ -88,12 +88,17 @@ def _task_document(value: str) -> dict:
     return _read_json(path, TaskDocumentError)
 
 
+def _read_text(path: Path, error: type[Exception]) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def _read_json(path: Path, error: type[RuleweaveError]):
     """A JSON file's value; text that is not UTF-8 or not JSON raises `error`."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+        return json.loads(_read_text(path, error))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON ({exc.msg})") from exc
 
@@ -184,6 +189,14 @@ def cmd_run(args) -> int:
         source = f"{args.config}: config key 'temperature'" if args.temperature is None else "--temperature"
         raise ConfigError(f"{source} must be finite and at least 0, got {temperature!r}")
     backend, model = _build_backend(args, task, config)
+    # Refuse now what the run could not write at its end, when it has made --out and its parents.
+    made = (Path(args.out).resolve(), *Path(args.out).resolve().parents)
+    existing = next(path for path in made if path.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {args.out}: {existing} is not a directory")
+    record = args.record and Path(args.record).resolve()
+    if record and (record.is_dir() or not (record.parent.is_dir() or record.parent in made)):
+        raise FileNotFoundError(f"--record {args.record}: not a file in an existing directory or one --out makes")
     workers = args.workers or getattr(backend, "max_concurrency", 1)
     # Every run holds each reply, so no (instance, step) is asked twice.
     store = ScriptedBackend({}, inner=backend)
@@ -259,11 +272,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_query(args) -> int:
-    if args.query_file:
-        query_text = Path(args.query_file).read_text(encoding="utf-8")
-    else:
-        query_text = args.query
-    query = parse_query(query_text)
+    query = parse_query(_read_text(Path(args.query_file), ValueError) if args.query_file else args.query)
 
     # Every line is read and checked before anything else, but only each
     # record's snapshot is kept, so the rest of the record is freed at once.

@@ -127,7 +127,7 @@ def load_dataset(path: str | Path) -> Dataset:
     file = Path(path)
     try:
         text = file.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset {file}: {exc}") from exc
     return parse_dataset(text, file.stem)
 
@@ -324,18 +324,17 @@ def aggregate(cells: Sequence[ReportCell]) -> RunReport:
         if key in seen:
             raise StatsError(f"duplicate report cell for {key}")
         seen.add(key)
-    per_task: dict[str, dict[str, MetricSummary]] = {}
-    for task in sorted({c.task for c in cells}):
-        per_task[task] = _by_condition([c for c in cells if c.task == task])
-    per_model: dict[str, dict[str, MetricSummary]] = {}
-    for model in sorted({c.model for c in cells}):
-        per_model[model] = _by_condition([c for c in cells if c.model == model])
     return RunReport(
         cells=tuple(cells),
         overall=_by_condition(cells),
-        per_task=per_task,
-        per_model=per_model,
+        per_task=_grouped(cells, "task"),
+        per_model=_grouped(cells, "model"),
     )
+
+
+def _grouped(cells: Sequence[ReportCell], field: str) -> dict[str, dict[str, MetricSummary]]:
+    keys = sorted({getattr(cell, field) for cell in cells})
+    return {key: _by_condition([c for c in cells if getattr(c, field) == key]) for key in keys}
 
 
 # -- paired comparison ---------------------------------------------------------------
@@ -573,16 +572,11 @@ def report_markdown(report: RunReport, comparisons: Sequence[ComparisonResult] =
     """Markdown report: overall means, then per-task and per-model breakdowns."""
     lines = ["# Evaluation report", ""]
     lines += _markdown_block("Overall (unweighted mean over cells)", report.overall)
-    if len(report.per_task) > 1:
-        lines.append("## By task")
-        lines.append("")
-        for task, summaries in report.per_task.items():
-            lines += _markdown_block(task, summaries)
-    if len(report.per_model) > 1:
-        lines.append("## By model")
-        lines.append("")
-        for model, summaries in report.per_model.items():
-            lines += _markdown_block(model, summaries)
+    for heading, groups in (("By task", report.per_task), ("By model", report.per_model)):
+        if len(groups) > 1:
+            lines += [f"## {heading}", ""]
+            for name, summaries in groups.items():
+                lines += _markdown_block(name, summaries)
     if comparisons:
         lines.append("## Paired comparisons")
         lines.append("")

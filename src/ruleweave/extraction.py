@@ -209,8 +209,8 @@ def build_entity_prompt(
 
 def askable_specs(
     task: TaskDefinition, entities: EntityExtraction, complementary: bool
-) -> tuple[list[AssertionSpec], list[AssertionSpec]]:
-    """Split the effective specs into (asked, skipped-for-missing-entity).
+) -> list[AssertionSpec]:
+    """The effective specs whose entities were all found, the ones asked about.
 
     Raises NotExtractable when a required entity was not found at all.
     """
@@ -223,13 +223,12 @@ def askable_specs(
         raise NotExtractable(
             "required entity not identified: " + ", ".join(missing_required)
         )
-    asked, skipped = [], []
-    for spec in effective_assertion_specs(task, complementary):
-        present = entities.found(spec.subject_entity) and (
-            spec.arity != BINARY or entities.found(spec.object_entity)
-        )
-        (asked if present else skipped).append(spec)
-    return asked, skipped
+    return [
+        spec
+        for spec in effective_assertion_specs(task, complementary)
+        if entities.found(spec.subject_entity)
+        and (spec.arity != BINARY or entities.found(spec.object_entity))
+    ]
 
 
 def build_assertion_prompt(
@@ -243,7 +242,7 @@ def build_assertion_prompt(
     temperature: float = 0.0,
 ) -> ChatRequest:
     _require_input(input_text)
-    asked, _ = askable_specs(task, entities, complementary)
+    asked = askable_specs(task, entities, complementary)
     schema = _schema_records(task, "assertions", tuple(spec.name for spec in asked))
     lines = ["Entities identified in the input:"]
     for spec in task.entity_specs:
@@ -400,7 +399,7 @@ def parse_assertion_response(
     entities: EntityExtraction,
     complementary: bool,
 ) -> AssertionExtraction:
-    asked, _ = askable_specs(task, entities, complementary)
+    asked = askable_specs(task, entities, complementary)
     by_name = _records_by_name(data, "assertions", [spec.name for spec in asked])
     records: list[AssertionRecord] = []
     for spec in effective_assertion_specs(task, complementary):

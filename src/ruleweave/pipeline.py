@@ -327,30 +327,33 @@ def iter_traces(path) -> Iterator[dict]:
     header raises ValueError after its last line."""
     header, seen = False, set()
     with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise ValueError(f"{where}: a trace line must be a JSON object")
-            if record.get("type") == "header":
-                _check_fields(record, _HEADER_FIELDS, where)
-                if header:
-                    raise ValueError(f"{where}: a second header line")
-                header = True
-            elif record.get("type") == "instance":
-                _check_fields(record, _INSTANCE_FIELDS, where)
-                if record["instance_id"] in seen:
-                    raise ValueError(f"{where}: instance {record['instance_id']!r} appears twice")
-                seen.add(record["instance_id"])
-            else:
-                raise ValueError(f"{where}: unknown trace record type")
-            yield record
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{line_no}"
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{where}: invalid JSON ({exc.msg})") from None
+                if not isinstance(record, dict):
+                    raise ValueError(f"{where}: a trace line must be a JSON object")
+                if record.get("type") == "header":
+                    _check_fields(record, _HEADER_FIELDS, where)
+                    if header:
+                        raise ValueError(f"{where}: a second header line")
+                    header = True
+                elif record.get("type") == "instance":
+                    _check_fields(record, _INSTANCE_FIELDS, where)
+                    if record["instance_id"] in seen:
+                        raise ValueError(f"{where}: instance {record['instance_id']!r} appears twice")
+                    seen.add(record["instance_id"])
+                else:
+                    raise ValueError(f"{where}: unknown trace record type")
+                yield record
+        except UnicodeDecodeError as exc:  # the file is decoded a block at a time
+            raise ValueError(f"{path}: not UTF-8 ({exc.reason})") from None
     if not header:
         raise ValueError(f"{path}: missing header line")
 

@@ -161,11 +161,48 @@ def _fail(path: str, message: str) -> TaskDocumentError:
     return TaskDocumentError(f"{path}: {message}")
 
 
+class _At:
+    """Raises a RuleweaveError from its block, unless a TaskDocumentError, at a document path."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, RuleweaveError) and not isinstance(exc, TaskDocumentError):
+            raise _fail(self.path, str(exc)) from exc
+
+
 def _string(doc: dict, key: str, path: str) -> str:
     value = doc.get(key)
     if not isinstance(value, str) or not value.strip():
         raise _fail(f"{path}.{key}" if path else key, "must be a non-empty string")
     return value
+
+
+def _list(doc: dict, key: str, empty_ok: bool = False) -> list:
+    value = doc.get(key)
+    if not isinstance(value, list) or not (value or empty_ok):
+        raise _fail(key, "must be a list" if empty_ok else "must be a non-empty list")
+    return value
+
+
+def _object(item: Any, path: str, keys: set[str]) -> None:
+    if not isinstance(item, dict):
+        raise _fail(path, "must be an object")
+    unknown = set(item) - keys
+    if unknown:
+        raise _fail(path, f"unknown keys {sorted(unknown)}")
+
+
+def _unique_name(item: dict, path: str, seen: set[str], kind: str) -> str:
+    name = _string(item, "name", path)
+    if name in seen:
+        raise _fail(f"{path}.name", f"duplicate {kind} name {name!r}")
+    seen.add(name)
+    return name
 
 
 def _parse_name(text: Any, prefixes: dict[str, str], path: str) -> Iri:
@@ -217,25 +254,17 @@ def _load_prefixes(doc: dict) -> dict[str, str]:
 
 def _load_tbox(doc: dict, prefixes: dict[str, str]) -> TBox:
     tbox = TBox(prefixes)
-    classes = doc.get("classes")
-    if not isinstance(classes, list) or not classes:
-        raise _fail("classes", "must be a non-empty list")
-    for i, name in enumerate(classes):
+    for i, name in enumerate(_list(doc, "classes")):
         tbox.declare_class(_parse_name(name, prefixes, f"classes[{i}]"))
 
-    properties = doc.get("properties")
-    if not isinstance(properties, list):
-        raise _fail("properties", "must be a list")
     declared_at: dict[Iri, int] = {}
-    for i, item in enumerate(properties):
+    for i, item in enumerate(_list(doc, "properties", empty_ok=True)):
         path = f"properties[{i}]"
         if isinstance(item, str):
             item = {"iri": item}
         if not isinstance(item, dict) or "iri" not in item:
             raise _fail(path, "must be a prefixed name or an object with an 'iri' key")
-        unknown = set(item) - {"iri", "domain", "range"}
-        if unknown:
-            raise _fail(path, f"unknown keys {sorted(unknown)}")
+        _object(item, path, {"iri", "domain", "range"})
         endpoints = {
             side: _parse_name(item[side], prefixes, f"{path}.{side}")
             for side in ("domain", "range")
@@ -247,75 +276,43 @@ def _load_tbox(doc: dict, prefixes: dict[str, str]) -> TBox:
         declared_at[iri] = i
         if iri == BELONGS_TO_CASE and endpoints:
             raise _fail(path, f"{iri} is reserved and takes no domain or range")
-        try:
-            tbox.declare_property(
-                iri,
-                domain=endpoints.get("domain"),
-                range=endpoints.get("range"),
-            )
-        except RuleweaveError as exc:
-            raise _fail(path, str(exc)) from exc
+        with _At(path):
+            tbox.declare_property(iri, domain=endpoints.get("domain"), range=endpoints.get("range"))
     if BELONGS_TO_CASE not in tbox.properties:
         tbox.declare_property(BELONGS_TO_CASE)
 
     for sub, super_ in _pair_list(doc, "subclass", prefixes):
-        try:
+        with _At("subclass"):
             tbox.add_subclass(sub, super_)
-        except RuleweaveError as exc:
-            raise _fail("subclass", str(exc)) from exc
     for a, b in _pair_list(doc, "disjoint", prefixes):
-        try:
+        with _At("disjoint"):
             tbox.add_disjoint(a, b)
-        except RuleweaveError as exc:
-            raise _fail("disjoint", str(exc)) from exc
 
-    rules = doc.get("rules")
-    if not isinstance(rules, list) or not rules:
-        raise _fail("rules", "must be a non-empty list")
     seen_names = set()
-    for i, item in enumerate(rules):
+    for i, item in enumerate(_list(doc, "rules")):
         path = f"rules[{i}]"
         if not isinstance(item, dict) or set(item) != {"name", "text"}:
             raise _fail(path, "must be an object with exactly 'name' and 'text'")
-        name = item["name"]
-        if not isinstance(name, str) or not name.strip():
-            raise _fail(f"{path}.name", "must be a non-empty string")
-        if name in seen_names:
-            raise _fail(f"{path}.name", f"duplicate rule name {name!r}")
-        seen_names.add(name)
-        try:
+        name = _unique_name(item, path, seen_names, "rule")
+        with _At(path):
             rule = parse_rule(name, item["text"])
             for atom in (*rule.antecedent, rule.consequent):
                 for term in atom_terms(atom):
                     if not isinstance(term, Variable) and term.partition(":")[0] not in prefixes:
                         raise _fail(f"{path}.text", f"unknown prefix in term {term}")
             tbox.add_rule(rule)
-        except RuleweaveError as exc:
-            if isinstance(exc, TaskDocumentError):
-                raise
-            raise _fail(path, str(exc)) from exc
     return tbox
 
 
 def _load_entities(doc: dict, tbox: TBox, prefixes: dict[str, str]) -> tuple[EntitySpec, ...]:
-    raw = doc.get("entities")
-    if not isinstance(raw, list) or not raw:
-        raise _fail("entities", "must be a non-empty list")
     specs = []
     names = set()
-    for i, item in enumerate(raw):
+    for i, item in enumerate(_list(doc, "entities")):
         path = f"entities[{i}]"
-        if not isinstance(item, dict):
-            raise _fail(path, "must be an object")
-        unknown = set(item) - {"name", "class", "description", "required"}
-        if unknown:
-            raise _fail(path, f"unknown keys {sorted(unknown)}")
-        name = _string(item, "name", path)
+        _object(item, path, {"name", "class", "description", "required"})
+        name = _unique_name(item, path, names, "entity")
         if not _NAME_RE.match(name):
             raise _fail(f"{path}.name", f"invalid entity name {name!r}")
-        if name in names:
-            raise _fail(f"{path}.name", f"duplicate entity name {name!r}")
-        names.add(name)
         cls = _parse_name(item.get("class"), prefixes, f"{path}.class")
         if cls not in tbox.classes:
             raise _fail(f"{path}.class", f"class {cls} not declared")
@@ -332,9 +329,6 @@ def _load_assertions(
     prefixes: dict[str, str],
     entity_classes: dict[str, Iri],
 ) -> tuple[AssertionSpec, ...]:
-    raw = doc.get("assertions")
-    if not isinstance(raw, list) or not raw:
-        raise _fail("assertions", "must be a non-empty list")
     allowed = {
         "name",
         "arity",
@@ -347,17 +341,10 @@ def _load_assertions(
     }
     specs: list[AssertionSpec] = []
     names = set()
-    for i, item in enumerate(raw):
+    for i, item in enumerate(_list(doc, "assertions")):
         path = f"assertions[{i}]"
-        if not isinstance(item, dict):
-            raise _fail(path, "must be an object")
-        unknown = set(item) - allowed
-        if unknown:
-            raise _fail(path, f"unknown keys {sorted(unknown)}")
-        name = _string(item, "name", path)
-        if name in names:
-            raise _fail(f"{path}.name", f"duplicate assertion name {name!r}")
-        names.add(name)
+        _object(item, path, allowed)
+        name = _unique_name(item, path, names, "assertion")
         arity = item.get("arity")
         if arity not in (UNARY, BINARY):
             raise _fail(f"{path}.arity", f"must be '{UNARY}' or '{BINARY}'")

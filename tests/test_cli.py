@@ -936,3 +936,67 @@ def test_a_trace_with_an_unknown_record_or_no_header_exits_4(capsys, tmp_path, l
     trace = write_trace(tmp_path / "traces.jsonl", lines)
     code, out, err = run_cli(capsys, ["report", trace])
     assert (code, out, err) == (4, "", f"data error: {trace}{where}: {message}\n")
+
+
+class _SpyBackend:
+    """Counts the requests that reach it and answers none."""
+
+    def __init__(self):
+        self.requests = 0
+
+    def complete(self, request):
+        self.requests += 1
+        raise BackendError("the spy answers no request")
+
+
+@pytest.mark.parametrize(
+    "flag, name, message",
+    [
+        ("--out", "file", "{tmp}/file is not a directory"),
+        ("--out", "file/sub", "{tmp}/file is not a directory"),
+        ("--record", "missing/x.json", "not a file in an existing directory or one --out makes"),
+        ("--record", ".", "not a file in an existing directory or one --out makes"),
+    ],
+    ids=["out-is-a-file", "out-under-a-file", "record-in-a-missing-dir", "record-is-a-dir"],
+)
+def test_an_out_or_record_path_that_cannot_be_written_exits_4_before_any_request(
+    capsys, tmp_path, monkeypatch, flag, name, message
+):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    spy = _SpyBackend()
+    monkeypatch.setattr(cli, "_build_backend", lambda args, task, config: (spy, "spy"))
+    path = tmp_path / name
+    argv = ["run", "--task", "hearsay", "--condition", "SD", "--condition", "FS", "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, [*argv, flag, str(path)])
+    assert (code, out, spy.requests) == (4, "", 0)
+    assert err == f"data error: {flag} {path}: {message.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+_DECODE = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["run", "--task", "hearsay", "--out", "OUT", "--replay", "PATH"], 3,
+         f"backend error: cannot load replay file PATH: {_DECODE}"),
+        (["run", "--task", "hearsay", "--out", "OUT", "--dataset", "PATH"], 4,
+         f"dataset error: cannot read dataset PATH: {_DECODE}"),
+        (["validate", "--task", "hearsay", "--dataset", "PATH"], 4,
+         f"dataset error: cannot read dataset PATH: {_DECODE}"),
+        (["report", "PATH"], 4, "data error: PATH: not UTF-8 (invalid start byte)"),
+        (["query", "--trace", "PATH", "--query", HEARSAY_CLASS_QUERY], 4,
+         "data error: PATH: not UTF-8 (invalid start byte)"),
+        (["query", "--trace", "OUT", "--query-file", "PATH"], 4,
+         "data error: PATH: not UTF-8 (invalid start byte at byte 0)"),
+    ],
+    ids=["replay", "run-dataset", "validate-dataset", "report-trace", "query-trace", "query-file"],
+)
+def test_an_input_file_that_is_not_utf8_is_named_and_keeps_its_exit_code(capsys, tmp_path, argv, code, message):
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(b"\xff\xfe{")
+    argv = [arg.replace("PATH", str(path)).replace("OUT", str(tmp_path / "out")) for arg in argv]
+    exit_code, _, err = run_cli(capsys, argv)
+    assert (exit_code, err) == (code, message.replace("PATH", str(path)) + "\n")
+    assert not (tmp_path / "out").exists()

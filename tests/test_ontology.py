@@ -491,6 +491,13 @@ def test_abox_copy_is_independent():
     assert dup.is_member(Iri("i", "s2"), H_OOC)
 
 
+def test_abox_is_unequal_to_another_type_and_reprs_its_sizes():
+    abox = ABox(make_tbox())
+    abox.assert_class(Iri("i", "s1"), H_OOC, "j")
+    assert abox.__eq__("i:s1") is NotImplemented and abox != "i:s1"
+    assert repr(abox) == "ABox(individuals=1, classes=1, properties=0)"
+
+
 def test_pair_maps_index_both_directions_and_copy_independently():
     tbox = make_tbox()
     knows = Iri("h", "knows")

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from ruleweave import stats
 from ruleweave.errors import StatsError, ZeroVarianceError
 from ruleweave.stats import (
     paired_t_test,
@@ -99,6 +100,18 @@ def test_input_validation():
         paired_t_test([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(StatsError):
         student_t_cdf(1.0, 0)
+
+
+@pytest.mark.parametrize("df", [0, -1.5])
+def test_two_sided_p_refuses_non_positive_degrees_of_freedom(df):
+    with pytest.raises(StatsError, match="degrees of freedom must be positive"):
+        two_sided_p(1.0, df)
+
+
+def test_a_continued_fraction_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(stats, "_MAX_ITERATIONS", 1)
+    with pytest.raises(StatsError, match="failed to converge"):
+        regularized_incomplete_beta(5.0, 0.5, 0.3)
 
 
 def test_zero_mean_difference_gives_t_zero_p_one():

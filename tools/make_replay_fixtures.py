@@ -845,7 +845,7 @@ def assertion_reply(task, instance_id, entities, assertions, complementary):
     parsed = parse_entity_response(
         json.loads(entity_reply(task, entities)), task, instance_id
     )
-    asked, _ = askable_specs(task, parsed, complementary)
+    asked = askable_specs(task, parsed, complementary)
     records = []
     for spec in asked:
         holds, why = assertions[spec.name]
