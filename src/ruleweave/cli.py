@@ -43,18 +43,10 @@ from .evaluation import (
     run_condition,
     sample_dataset,
 )
-from .pipeline import (
-    CLASS_PREDICATE,
-    Condition,
-    iter_traces,
-    load_traces,
-    parse_condition,
-    restore_abox,
-)
+from .pipeline import Condition, load_traces, parse_condition, restore_instances
 from .query import execute, format_tsv, parse_query
 from .tasklib import (
     BUILTIN_TASK_IDS,
-    INSTANCE_PREFIX,
     TaskDefinition,
     builtin_task,
     builtin_task_document,
@@ -249,7 +241,7 @@ def _collect_trace_files(paths: Sequence[str]) -> list[Path]:
 def cmd_report(args) -> int:
     cells = []
     for path in _collect_trace_files(args.traces):
-        header, records = load_traces(path)
+        header, records = load_traces(path, keep=("label", "prediction", "outcome"))
         counts = fold_counts(records)
         cells.append(
             cell_from_counts(header["model"], header["task"], header["condition"], counts)
@@ -271,52 +263,24 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _trace_task(header: dict, task_arg: Optional[str]) -> TaskDefinition:
+    """The task a trace file is read with: --task, else the built-in its header names."""
+    if task_arg:
+        return load_task(_task_document(task_arg))
+    if header["task"] in BUILTIN_TASK_IDS:
+        return builtin_task(header["task"])
+    raise ConfigError(f"trace file is for task {header['task']!r}; pass --task with its document")
+
+
 def cmd_query(args) -> int:
     query = parse_query(_read_text(Path(args.query_file), ValueError) if args.query_file else args.query)
-
-    # Every line is read and checked before anything else, but only each
-    # record's snapshot is kept, so the rest of the record is freed at once.
-    header, snapshots = None, []
-    for record in iter_traces(args.trace):
-        if record["type"] == "header":
-            header = record
-        else:
-            snapshots.append((record["instance_id"], record.get("abox_snapshot")))
-    if args.task:
-        task = load_task(_task_document(args.task))
-    elif header.get("task") in BUILTIN_TASK_IDS:
-        task = builtin_task(header["task"])
-    else:
-        raise ConfigError(
-            f"trace file is for task {header.get('task')!r}; pass --task with its document"
-        )
+    header, records = load_traces(args.trace, keep=("abox_snapshot",))
+    task = _trace_task(header, args.task)
     wanted = set(args.instance or [])
-    unknown = wanted - {instance for instance, _ in snapshots}
+    unknown = wanted - {record["instance_id"] for record in records}
     if unknown:
         raise DatasetError(f"instance {sorted(unknown)[0]!r} not present in {args.trace}")
-
-    instance = None
-    owner: dict[str, str] = {}  # minted individual -> the instance that names it
-
-    def triples():  # in file order; `instance` names the record being read
-        nonlocal instance
-        for instance, snapshot in snapshots:
-            if snapshot is not None and (not wanted or instance in wanted):
-                if not isinstance(snapshot, list):
-                    raise ValueError("abox_snapshot is not a list")
-                yield from snapshot
-                # restore_abox has checked these triples: their fields are strings
-                for name in sorted({t["subject"] for t in snapshot} | {
-                    t["object"] for t in snapshot if t["predicate"] != CLASS_PREDICATE
-                }):
-                    other = owner.setdefault(name, instance)
-                    if other != instance and name.startswith(f"{INSTANCE_PREFIX}:"):
-                        raise DatasetError(f"instances {other!r} and {instance!r} both name the individual {name}")
-
-    try:
-        abox = restore_abox(task.tbox, triples())
-    except ValueError as exc:
-        raise ValueError(f"instance {instance!r}: {exc}") from None
+    abox = restore_instances(task.tbox, [r for r in records if not wanted or r["instance_id"] in wanted])
     if not abox.individuals:
         raise DatasetError(
             f"{args.trace} holds no ABox snapshots; query needs traces from a "

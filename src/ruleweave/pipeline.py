@@ -12,7 +12,8 @@ unparseable reply ends it as Error with no prediction.
 Every trace keeps the raw exchanges, each extraction that parsed, and for
 reasoner conditions the ABox snapshot and which rules fired. Traces serialize
 to JSON lines; apart from one timestamp in the file header, identical inputs
-give byte-identical files.
+give byte-identical files. ``load_traces`` reads such a file back, and
+``restore_instances`` merges its snapshots into the one ABox a query reads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from datetime import datetime, timezone
 from typing import Iterable, Iterator, Optional
 
 from .backends import Backend, ChatRequest
-from .errors import BackendError, ConfigError, MalformedResponseError, NotExtractable
+from .errors import BackendError, ConfigError, DatasetError, MalformedResponseError, NotExtractable
 from .extraction import (
     STEP_COT,
     STEP_FS,
@@ -46,7 +47,7 @@ from .extraction import (
 )
 from .ontology import ABox, Asserted, Inferred, Iri, Origin, TBox
 from .reasoner import classify, forward_chain
-from .tasklib import BELONGS_TO_CASE, BINARY, NEGATIVE_LABEL, POSITIVE_LABEL, UNARY, TaskDefinition
+from .tasklib import BELONGS_TO_CASE, INSTANCE_PREFIX, NEGATIVE_LABEL, POSITIVE_LABEL, UNARY, TaskDefinition
 
 OUTCOME_OK = "Ok"
 OUTCOME_INCONSISTENT = "Inconsistent"
@@ -358,13 +359,45 @@ def iter_traces(path) -> Iterator[dict]:
         raise ValueError(f"{path}: missing header line")
 
 
-def load_traces(path) -> tuple[dict, list[dict]]:
+def load_traces(path, keep: Optional[tuple[str, ...]] = None) -> tuple[dict, list[dict]]:
     """A whole trace file through iter_traces: its one header and its
-    instance records in file order."""
+    instance records in file order. With `keep`, each instance record is cut
+    as its line is read to its instance_id and those fields, None where absent."""
     header, records = None, []
     for record in iter_traces(path):
         if record["type"] == "header":
             header = record
         else:
-            records.append(record)
+            records.append(record if keep is None else {
+                "instance_id": record["instance_id"], **{key: record.get(key) for key in keep}})
     return header, records
+
+
+def restore_instances(tbox: TBox, records: Iterable[dict]) -> ABox:
+    """One ABox from each record's abox_snapshot in order, through restore_abox,
+    skipping a None snapshot. A ValueError, a non-list snapshot included, names
+    the instance; an `inst:` individual two instances name raises DatasetError."""
+    instance = None
+    owner: dict[str, str] = {}  # minted individual -> the instance that names it
+
+    def triples():  # in order; `instance` names the record being read
+        nonlocal instance
+        for record in records:
+            instance, snapshot = record["instance_id"], record.get("abox_snapshot")
+            if snapshot is None:
+                continue
+            if not isinstance(snapshot, list):
+                raise ValueError("abox_snapshot is not a list")
+            yield from snapshot
+            # restore_abox has checked these triples: their fields are strings
+            for name in sorted({t["subject"] for t in snapshot} | {
+                t["object"] for t in snapshot if t["predicate"] != CLASS_PREDICATE
+            }):
+                other = owner.setdefault(name, instance)
+                if other != instance and name.startswith(f"{INSTANCE_PREFIX}:"):
+                    raise DatasetError(f"instances {other!r} and {instance!r} both name the individual {name}")
+
+    try:
+        return restore_abox(tbox, triples())
+    except ValueError as exc:
+        raise ValueError(f"instance {instance!r}: {exc}") from None
