@@ -247,10 +247,13 @@ def cmd_report(args) -> int:
             cell_from_counts(header["model"], header["task"], header["condition"], counts)
         )
     report = aggregate(cells)
-    comparisons = [
-        compare(cells, first, second, metric=args.metric)
-        for first, second in (args.compare or [])
-    ]
+    comparisons, undefined = [], []
+    for first, second in args.compare or []:
+        try:
+            comparisons.append(compare(cells, first, second, metric=args.metric))
+        except StatsError as exc:  # a row naming the reason; exits 2 once the report is out
+            comparisons.append((first, second, args.metric, str(exc)))
+            undefined.append(exc)
     rendered = report_markdown(report, comparisons)
     if args.out:
         out = Path(args.out)
@@ -260,6 +263,8 @@ def cmd_report(args) -> int:
         print(f"wrote {out / 'report.csv'} and {out / 'report.md'}")
     else:
         print(rendered)
+    if undefined:
+        raise undefined[0]
     return 0
 
 

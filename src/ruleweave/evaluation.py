@@ -568,8 +568,9 @@ def _markdown_block(title: str, summaries: dict[str, MetricSummary]) -> list[str
     return lines
 
 
-def report_markdown(report: RunReport, comparisons: Sequence[ComparisonResult] = ()) -> str:
-    """Markdown report: overall means, then per-task and per-model breakdowns."""
+def report_markdown(report: RunReport, comparisons: Sequence[ComparisonResult | tuple] = ()) -> str:
+    """Markdown report: overall means, then per-task and per-model breakdowns.
+    An undefined comparison is an (A, B, metric, reason) tuple, one row naming the reason."""
     lines = ["# Evaluation report", ""]
     lines += _markdown_block("Overall (unweighted mean over cells)", report.overall)
     for heading, groups in (("By task", report.per_task), ("By model", report.per_model)):
@@ -583,6 +584,9 @@ def report_markdown(report: RunReport, comparisons: Sequence[ComparisonResult] =
         lines.append("| A | B | Metric | n | Mean A | Mean B | Delta | t | p | dz |")
         lines.append("|---|---|---|---|---|---|---|---|---|---|")
         for c in comparisons:
+            if isinstance(c, tuple):
+                lines.append(f"| {c[0]} | {c[1]} | {c[2]} | undefined: {c[3]} |" + " - |" * 6)
+                continue
             lines.append(
                 f"| {c.condition_a} | {c.condition_b} | {c.metric} | {c.n} "
                 f"| {_pct(c.mean_a)} | {_pct(c.mean_b)} | {100.0 * c.delta:+.1f}pp "

@@ -504,6 +504,41 @@ def test_report_out_writes_csv_and_markdown(capsys, tmp_path):
     assert (report_dir / "report.md").is_file()
 
 
+def test_report_writes_both_files_when_a_comparison_is_undefined_and_exits_2(capsys, tmp_path):
+    for task_id in BUILTIN_TASK_IDS:
+        run_grid(capsys, task_id, tmp_path / "runs")
+    report_dir = tmp_path / "report"
+    argv = ["report", str(tmp_path / "runs"), "--compare", "SD", "FS", "--out", str(report_dir)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (2, "stats error: paired differences have zero variance\n")
+    assert out.startswith("wrote ")
+    assert len((report_dir / "report.csv").read_text(encoding="utf-8").splitlines()) == 1 + 18
+    row = "| SD | FS | f1 | undefined: paired differences have zero variance |" + " - |" * 6
+    assert row in (report_dir / "report.md").read_text(encoding="utf-8").splitlines()
+
+
+def test_report_prints_a_row_for_each_undefined_comparison_and_exits_with_the_first(capsys, tmp_path):
+    run_grid(capsys, "hearsay", tmp_path)
+    argv = ["run", "--task", "method_application", "--out", str(tmp_path), "--timestamp", "t0"]
+    code, _, _ = run_cli(capsys, argv + ["--condition", "SD", "--condition", "SD-Comp"])
+    assert code == 0
+    mismatch = (
+        "conditions 'SD' and 'FS' cover different (model, task) cells; "
+        "first mismatch: ('scripted', 'method_application')"
+    )
+    why = {
+        ("SD", "FS"): mismatch,
+        ("SD", "SD-Comp"): "paired differences have zero variance",
+        ("FS", "CoT"): "need at least 2 pairs, got 1",
+        ("SD", "Nope"): "no cells for condition 'Nope'",
+    }
+    argv = ["report", str(tmp_path)] + [arg for pair in why for arg in ("--compare", *pair)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (2, f"stats error: {mismatch}\n")
+    rows = [f"| {a} | {b} | f1 | undefined: {reason} |" + " - |" * 6 for (a, b), reason in why.items()]
+    assert out.endswith("|---|---|---|---|---|---|---|---|---|---|\n" + "\n".join(rows) + "\n\n")
+
+
 def test_report_missing_path_exits_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["report", str(tmp_path / "absent")])
     assert code == 4

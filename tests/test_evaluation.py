@@ -148,6 +148,15 @@ def test_sample_dataset_is_reproducible():
         sample_dataset(ds, 0, seed=7)
 
 
+def test_sample_dataset_of_the_whole_split_keeps_every_test_record():
+    ds = builtin_dataset("hearsay")
+    whole = sample_dataset(ds, len(ds.test_records), seed=7)
+    assert sorted(whole.test_records, key=lambda r: r.instance_id) == sorted(
+        ds.test_records, key=lambda r: r.instance_id
+    )
+    assert whole.train_records == ds.train_records
+
+
 # -- confusion counts and metrics ----------------------------------------------------
 
 
@@ -510,3 +519,19 @@ def test_report_markdown_sections(grid):
     # conditions keep their canonical order in every table
     overall = rendered.split("## By task")[0]
     assert overall.index("| FS |") < overall.index("| CoT |") < overall.index("| SD |")
+
+
+def test_report_markdown_of_one_task_and_one_model_has_no_group_sections():
+    counts = ConfusionCounts(tp=2, fp=1, tn=6, fn=1)
+    cells = [cell_from_counts("m", "hearsay", condition, counts) for condition in ("FS", "SD")]
+    rendered = report_markdown(aggregate(cells))
+    assert "## By" not in rendered
+    assert rendered.count("### ") == 1
+
+
+def test_report_markdown_renders_an_undefined_comparison_as_a_row_naming_why():
+    counts = ConfusionCounts(tp=2, fp=1, tn=6, fn=1)
+    cells = [cell_from_counts("m", "hearsay", condition, counts) for condition in ("FS", "SD")]
+    rendered = report_markdown(aggregate(cells), [("SD", "FS", "f1", "need at least 2 pairs, got 1")])
+    row = "| SD | FS | f1 | undefined: need at least 2 pairs, got 1 | - | - | - | - | - | - |"
+    assert rendered.endswith(f"|---|---|---|---|---|---|---|---|---|---|\n{row}\n")

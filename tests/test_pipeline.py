@@ -11,7 +11,8 @@ from importlib import resources
 import pytest
 
 from ruleweave.backends import ScriptedBackend
-from ruleweave.errors import ConfigError, DomainRangeError, IriError, UndeclaredError
+from ruleweave.cli import main
+from ruleweave.errors import ConfigError, DatasetError, DomainRangeError, IriError, UndeclaredError
 from ruleweave.evaluation import builtin_dataset, run_condition
 from ruleweave.ontology import ABox, Asserted, Iri, TBox
 from ruleweave.pipeline import (
@@ -22,8 +23,10 @@ from ruleweave.pipeline import (
     parse_condition,
     populate_abox,
     restore_abox,
+    restore_instances,
     snapshot_abox,
 )
+from ruleweave.query import execute, format_tsv, parse_query
 from ruleweave.extraction import (
     mint_individual,
     parse_assertion_response,
@@ -39,7 +42,7 @@ from ruleweave.tasklib import (
     parse_rule,
 )
 
-from .oracles import random_instance, reference_restore_abox
+from .oracles import brute_force_query, random_instance, reference_restore_abox
 from .test_cli import _JUNK
 from .test_extraction import SAMPLE_TEXT, assertion_reply, entity_reply
 
@@ -851,3 +854,59 @@ def test_dump_traces_sorted_and_loadable(hearsay, tmp_path):
     assert header["condition"] == "SD"
     assert [r["instance_id"] for r in records] == ["t2", "t5", "t9"]
     assert all(r["prediction"] == "Yes" for r in records)
+
+
+def test_load_traces_keep_cuts_each_record_to_its_id_and_the_kept_fields(hearsay, tmp_path):
+    traces = [
+        evaluate_instance(hearsay, iid, SAMPLE_TEXT, "Yes", condition, hearsay_backend(iid), exemplars=[])
+        for iid, condition in (("t1", Condition.SD), ("t2", Condition.SD_DIRECT))
+    ]
+    path = tmp_path / "traces.jsonl"
+    path.write_text(dump_traces(traces, "hearsay", Condition.SD, "scripted"), encoding="utf-8")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert load_traces(path) == (json.loads(lines[0]), [json.loads(line) for line in lines[1:]])
+    header, records = load_traces(path, keep=("abox_snapshot", "label", "absent"))
+    assert header == json.loads(lines[0])
+    assert records == [
+        {"instance_id": "t1", "abox_snapshot": traces[0].abox_snapshot, "label": "Yes", "absent": None},
+        {"instance_id": "t2", "abox_snapshot": None, "label": "Yes", "absent": None},
+    ]
+    assert traces[0].abox_snapshot
+
+
+HEARSAY_JOIN_QUERY = (
+    "PREFIX h: <http://example.org/hearsay#> PREFIX sd: <http://example.org/sd#> "
+    "SELECT ?s ?c WHERE { ?s a h:Hearsay . ?s sd:belongsToCase ?c . }"
+)
+
+
+def test_a_trace_is_queried_through_pipeline_alone(hearsay, tmp_path, capsys):
+    replay = resources.files("ruleweave").joinpath("data/replay/hearsay.replay.json")
+    backend = ScriptedBackend.from_file(str(replay))
+    run = run_condition(
+        hearsay, builtin_dataset("hearsay"), Condition.SD_COMP, backend, out_dir=tmp_path
+    )
+    query = parse_query(HEARSAY_JOIN_QUERY)
+    _, records = load_traces(run.trace_path, keep=("abox_snapshot",))
+    rows = execute(query, hearsay.tbox, restore_instances(hearsay.tbox, records))
+    merged = [triple for record in records for triple in record["abox_snapshot"] or ()]
+    assert rows == brute_force_query(query, hearsay.tbox, reference_restore_abox(hearsay.tbox, merged))
+    assert len(rows) == sum(trace.label == POSITIVE_LABEL for trace in run.traces) > 0
+    assert main(["query", "--trace", str(run.trace_path), "--query", HEARSAY_JOIN_QUERY]) == 0
+    assert capsys.readouterr().out == format_tsv(query, rows)
+
+
+def test_restore_instances_names_the_instance_of_each_fault(hearsay):
+    def restore(*snapshots):
+        records = [{"instance_id": iid, "abox_snapshot": snap} for iid, snap in zip("abc", snapshots)]
+        return restore_instances(hearsay.tbox, records)
+
+    with pytest.raises(ValueError, match=r"^instance 'b': abox_snapshot is not a list$"):
+        restore(None, "x")
+    with pytest.raises(ValueError, match=r"^instance 'a': malformed snapshot triple"):
+        restore([{**_TRIPLE, "origin": "x"}])
+    with pytest.raises(DatasetError, match="^instances 'a' and 'c' both name the individual inst:t1_Statement$"):
+        restore([_TRIPLE], None, [_TRIPLE])
+    assert restore(None, [_TRIPLE]) == restore_abox(hearsay.tbox, [_TRIPLE])
+    shared = {**_TRIPLE, "subject": "h:shared"}  # only minted `inst:` names belong to one instance
+    assert restore([shared], [shared]) == restore_abox(hearsay.tbox, [shared])

@@ -62,6 +62,11 @@ def test_incomplete_beta_boundaries():
         regularized_incomplete_beta(1.0, 1.0, 1.5)
 
 
+def test_incomplete_beta_refuses_a_zero_b():
+    with pytest.raises(StatsError, match="must be positive"):
+        regularized_incomplete_beta(1.0, 0.0, 0.5)
+
+
 def test_incomplete_beta_uniform_case_is_identity():
     # I_x(1, 1) = x exactly.
     for x in (0.1, 0.25, 0.5, 0.9):
