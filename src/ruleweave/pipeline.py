@@ -367,9 +367,10 @@ def load_traces(path, keep: Optional[tuple[str, ...]] = None) -> tuple[dict, lis
     for record in iter_traces(path):
         if record["type"] == "header":
             header = record
+        elif keep is None:
+            records.append(record)
         else:
-            records.append(record if keep is None else {
-                "instance_id": record["instance_id"], **{key: record.get(key) for key in keep}})
+            records.append({key: record.get(key) for key in ("instance_id", *keep)})
     return header, records
 
 
