@@ -861,6 +861,7 @@ def test_load_traces_keep_cuts_each_record_to_its_id_and_the_kept_fields(hearsay
         evaluate_instance(hearsay, iid, SAMPLE_TEXT, "Yes", condition, hearsay_backend(iid), exemplars=[])
         for iid, condition in (("t1", Condition.SD), ("t2", Condition.SD_DIRECT))
     ]
+    assert traces[0].abox_snapshot and traces[1].abox_snapshot is None
     path = tmp_path / "traces.jsonl"
     path.write_text(dump_traces(traces, "hearsay", Condition.SD, "scripted"), encoding="utf-8")
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -871,7 +872,6 @@ def test_load_traces_keep_cuts_each_record_to_its_id_and_the_kept_fields(hearsay
         {"instance_id": "t1", "abox_snapshot": traces[0].abox_snapshot, "label": "Yes", "absent": None},
         {"instance_id": "t2", "abox_snapshot": None, "label": "Yes", "absent": None},
     ]
-    assert traces[0].abox_snapshot
 
 
 HEARSAY_JOIN_QUERY = (
