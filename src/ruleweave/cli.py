@@ -407,11 +407,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except RuleweaveError as exc:
-        for kind, label, code in _ERROR_KINDS:
-            if isinstance(exc, kind):
-                print(f"{label} error: {exc}", file=sys.stderr)
-                return code
-        raise  # unreachable: RuleweaveError is the last entry
+        # RuleweaveError, the last entry, matches whatever the others do not
+        label, code = next((label, code) for kind, label, code in _ERROR_KINDS if isinstance(exc, kind))
+        print(f"{label} error: {exc}", file=sys.stderr)
+        return code
     except (ValueError, OSError) as exc:
         # malformed trace files surface as ValueError from load_traces
         print(f"data error: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 The TBox holds classes, object properties (with optional domain/range),
 subclass and disjointness axioms, and Horn rules over class/property atoms.
-The ABox holds individuals plus class-membership and property assertions,
-each tagged with an origin: either Asserted (carrying a natural-language
-justification) or Inferred (carrying the rule name that produced it).
+The ABox holds class-membership and property assertions about individuals,
+each stored once, in the join index, and tagged with an origin: either
+Asserted (carrying a natural-language justification) or Inferred (carrying
+the rule name that produced it).
 
 Identifiers are short prefix:Local names. A name is an exact, interned str
 "prefix:Local", made by `Iri(prefix, local)` or `Iri.parse(text)`, which
@@ -25,7 +26,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Collection, Iterator, Optional, Union
 
 from .errors import (
     DisjointnessError,
@@ -304,15 +305,9 @@ def _check_disjoint_axioms(pairs: list[tuple[Iri, Iri]], closure: dict[Iri, froz
             raise DisjointnessError(f"disjoint({a}, {b}) contradicts the subclass hierarchy")
 
 
-# property -> bound term -> the terms on the other side of the pair
-PairMap = dict[Iri, dict[Iri, set[Iri]]]
-
-
-def _copy_pair_map(pairs: PairMap) -> PairMap:
-    return {
-        prop: {term: set(others) for term, others in index.items()}
-        for prop, index in pairs.items()
-    }
+# property -> bound term -> the terms on the other side of the pair, as a
+# set or, in `by_subject`, as a dict from each term to the fact's origin
+PairMap = dict[Iri, dict[Iri, Collection[Iri]]]
 
 
 class ABox:
@@ -322,24 +317,40 @@ class ABox:
     a no-op, not an error. One ABox belongs to one evaluation instance and
     is never shared across threads.
 
-    Besides the origin-tagged fact dicts, the ABox keeps an index that the
-    reasoner and the query engine read instead of scanning every fact:
-    `direct_classes` maps an individual to the classes recorded for it;
-    `by_subject` maps a property to subject -> objects, and `by_object`
-    maps a property to object -> subjects, so a property atom with a bound
-    subject or object is one hash lookup. The index holds no subclass
-    closure; that is read from the TBox at lookup time, so a subclass axiom
-    added after a fact is still seen. Callers must not mutate these maps.
+    Each fact is stored once, in the index that the reasoner and the query
+    engine read instead of scanning every fact: `direct_classes` maps an
+    individual to class -> origin for each class recorded for it;
+    `by_subject` maps a property to subject -> object -> origin, and
+    `by_object` maps a property to object -> subjects, so a property atom
+    with a bound subject or object is one hash lookup. The index holds no
+    subclass closure; that is read from the TBox at lookup time, so a
+    subclass axiom added after a fact is still seen. Callers must not mutate
+    these maps. `class_assertions`, `property_assertions` and `individuals`
+    are read-only views, built from the index each time they are read.
     """
 
     def __init__(self, tbox: TBox):
         self.tbox = tbox
-        self.individuals: set[Iri] = set()
-        self.class_assertions: dict[tuple[Iri, Iri], Origin] = {}
-        self.property_assertions: dict[tuple[Iri, Iri, Iri], Origin] = {}
-        self.direct_classes: dict[Iri, set[Iri]] = {}
-        self.by_subject: PairMap = {}
-        self.by_object: PairMap = {}
+        self.direct_classes: dict[Iri, dict[Iri, Origin]] = {}
+        self.by_subject: dict[Iri, dict[Iri, dict[Iri, Origin]]] = {}
+        self.by_object: dict[Iri, dict[Iri, set[Iri]]] = {}
+
+    @property
+    def class_assertions(self) -> dict[tuple[Iri, Iri], Origin]:
+        return {(ind, cls): origin for ind, classes in self.direct_classes.items() for cls, origin in classes.items()}
+
+    @property
+    def property_assertions(self) -> dict[tuple[Iri, Iri, Iri], Origin]:
+        return {
+            (subject, prop, obj): origin
+            for prop, index in self.by_subject.items()
+            for subject, objects in index.items()
+            for obj, origin in objects.items()
+        }
+
+    @property
+    def individuals(self) -> set[Iri]:
+        return set(self.direct_classes).union(*self.by_subject.values(), *self.by_object.values())
 
     # -- public, validated entry points -------------------------------------
 
@@ -370,40 +381,37 @@ class ABox:
             )
 
     # -- raw insertion: reasoner, snapshot restore, and fact-set test rigs --
-    # Each hashes its fact key once: setdefault, then a size check for "new".
+    # Each tests and writes each map once; plain gets, not setdefault, so a
+    # hit allocates no empty dict or set.
 
     def _insert_class(self, individual: Iri, cls: Iri, origin: Origin) -> bool:
         if cls not in self.tbox.classes:
             raise UndeclaredError(f"class {cls} not declared in TBox")
-        self.individuals.add(individual)
-        size = len(self.class_assertions)
-        self.class_assertions.setdefault((individual, cls), origin)
-        if len(self.class_assertions) == size:
+        classes = self.direct_classes.get(individual)
+        if classes is None:
+            self.direct_classes[individual] = {cls: origin}
+        elif cls in classes:
             return False
-        self.direct_classes.setdefault(individual, set()).add(cls)
+        else:
+            classes[cls] = origin
         return True
 
     def _insert_property(self, subject: Iri, prop: Iri, obj: Iri, origin: Origin) -> bool:
         if prop not in self.tbox.properties:
             raise UndeclaredError(f"property {prop} not declared in TBox")
-        size = len(self.property_assertions)
-        self.property_assertions.setdefault((subject, prop, obj), origin)
-        if len(self.property_assertions) == size:
-            return False
-        self.individuals.add(subject)
-        self.individuals.add(obj)
-        # Plain gets, not setdefault, so a hit allocates no empty dict or set.
         objects = self.by_subject.get(prop)
         if objects is None:
             objects = self.by_subject[prop] = {}
+        known = objects.get(subject)
+        if known is None:
+            objects[subject] = {obj: origin}
+        elif obj in known:
+            return False
+        else:
+            known[obj] = origin
         subjects = self.by_object.get(prop)
         if subjects is None:
             subjects = self.by_object[prop] = {}
-        known = objects.get(subject)
-        if known is None:
-            objects[subject] = {obj}
-        else:
-            known.add(obj)
         known = subjects.get(obj)
         if known is None:
             subjects[obj] = {subject}
@@ -433,22 +441,18 @@ class ABox:
 
     def copy(self) -> "ABox":
         dup = ABox(self.tbox)
-        dup.individuals = set(self.individuals)
-        dup.class_assertions = dict(self.class_assertions)
-        dup.property_assertions = dict(self.property_assertions)
-        dup.direct_classes = {ind: set(classes) for ind, classes in self.direct_classes.items()}
-        dup.by_subject = _copy_pair_map(self.by_subject)
-        dup.by_object = _copy_pair_map(self.by_object)
+        dup.direct_classes = {ind: classes.copy() for ind, classes in self.direct_classes.items()}
+        dup.by_subject, dup.by_object = (
+            {prop: {term: others.copy() for term, others in index.items()} for prop, index in pairs.items()}
+            for pairs in (self.by_subject, self.by_object)
+        )
         return dup
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ABox):
             return NotImplemented
-        return (
-            self.individuals == other.individuals
-            and self.class_assertions == other.class_assertions
-            and self.property_assertions == other.property_assertions
-        )
+        # by_object is by_subject turned around
+        return self.direct_classes == other.direct_classes and self.by_subject == other.by_subject
 
     def __repr__(self) -> str:
         return (

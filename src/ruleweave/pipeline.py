@@ -124,13 +124,11 @@ def _origin_text(origin) -> str:
 
 def snapshot_abox(abox: ABox) -> list[dict]:
     """Flatten an ABox to origin-tagged triples, class assertions first."""
-    classes = sorted(abox.class_assertions.items())
-    facts = [((individual, CLASS_PREDICATE, cls), origin) for (individual, cls), origin in classes]
-    facts += sorted(abox.property_assertions.items())
-    return [
-        {"subject": s, "predicate": p, "object": o, "origin": _origin_text(origin)}
-        for (s, p, o), origin in facts
-    ]
+    facts = sorted((ind, CLASS_PREDICATE, cls, origin) for ind, classes in abox.direct_classes.items()
+                   for cls, origin in classes.items())
+    facts += sorted((s, p, o, origin) for p, index in abox.by_subject.items()
+                    for s, objects in index.items() for o, origin in objects.items())
+    return [{"subject": s, "predicate": p, "object": o, "origin": _origin_text(origin)} for s, p, o, origin in facts]
 
 
 _triple_fields = operator.itemgetter("subject", "predicate", "object", "origin")

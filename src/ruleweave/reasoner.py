@@ -295,12 +295,13 @@ def _fixpoint(tbox: TBox, abox: ABox) -> tuple[ABox, list[tuple[str, Binding]]]:
 
 def check_consistency(tbox: TBox, abox: ABox) -> list[tuple[Iri, Iri, Iri]]:
     """One violation per individual per disjoint pair it is a member of both
-    sides of, membership expanded through the subclass closure."""
+    sides of, membership expanded through the subclass closure. Only an
+    individual with a recorded class can be a member."""
     if not tbox.disjoint_axioms:
         return []
     return [
         (individual, a, b)
-        for individual in sorted(abox.individuals)
+        for individual in sorted(abox.direct_classes)
         for a, b in tbox.disjoint_axioms
         if abox.is_member(individual, a) and abox.is_member(individual, b)
     ]
@@ -313,7 +314,9 @@ def classify(result: InferenceResult, individual: Iri, target_class: Iri) -> boo
     not an error: the caller may be probing an entity extraction that never
     produced the individual.
     """
-    if individual not in result.abox.individuals:
+    abox = result.abox
+    if individual in abox.direct_classes:
+        return abox.is_member(individual, target_class)
+    if not any(individual in index for pairs in (abox.by_subject, abox.by_object) for index in pairs.values()):
         log.warning("classify: individual %s not present in ABox", individual)
-        return False
-    return result.abox.is_member(individual, target_class)
+    return False

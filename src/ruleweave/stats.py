@@ -28,41 +28,29 @@ def log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+def _nonzero(v: float) -> float:
+    """Lentz's clamp: _TINY in place of a v nearer zero than it; a NaN passes."""
+    return _TINY if abs(v) < _TINY else v
+
+
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Lentz evaluation of the continued fraction for I_x(a, b)."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITERATIONS + 1):
         m2 = 2 * m
-        # even step
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for numerator in (even, odd):
+            d = 1.0 / _nonzero(1.0 + numerator * d)
+            c = _nonzero(1.0 + numerator / c)
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _EPS:  # tested after the odd step
             return h
     raise StatsError("incomplete beta continued fraction failed to converge")
 

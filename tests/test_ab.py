@@ -57,7 +57,7 @@ def test_ties_count_for_neither_side_and_noise_is_no_gain():
     base = [result(ms, 20.0) for ms in BASE_MS]
     change = [result(ms, 20.0) for ms in BASE_MS[1:] + BASE_MS[:1]]
     summary = ab.summarize(base, change, END_TO_END)
-    assert summary["claim"] is True
+    assert summary["claim"] is False
     assert summary["metrics"]["ops_per_s"]["change_better_share"] == 0.0
     assert summary["metrics"]["op_ms_p50"]["gain"] is False
 

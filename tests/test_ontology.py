@@ -6,6 +6,7 @@ import copy
 import gc
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,9 @@ from ruleweave.ontology import (
     Variable,
     truncate_justification,
 )
+from ruleweave.pipeline import restore_abox, snapshot_abox
+
+from .oracles import random_instance
 
 H_STATEMENT = Iri("h", "Statement")
 H_HEARSAY = Iri("h", "Hearsay")
@@ -399,8 +403,8 @@ def test_raw_inserts_report_a_duplicate_and_keep_the_first_origin():
     assert abox._insert_property(a, knows, b, second) is False
     assert abox.class_assertions == {(a, H_OOC): first}
     assert abox.property_assertions == {(a, knows, b): first}
-    assert abox.direct_classes == {a: {H_OOC}}
-    assert abox.by_subject == {knows: {a: {b}}}
+    assert abox.direct_classes == {a: {H_OOC: first}}
+    assert abox.by_subject == {knows: {a: {b: first}}}
     assert abox.by_object == {knows: {b: {a}}}
     assert abox.individuals == {a, b}
 
@@ -507,14 +511,51 @@ def test_pair_maps_index_both_directions_and_copy_independently():
     abox.assert_property(a, knows, b, "j")
     abox.assert_property(a, knows, c, "j")
     abox.assert_property(a, knows, b, "again")
-    assert abox.by_subject == {knows: {a: {b, c}}}
+    j = Asserted("j")
+    assert abox.by_subject == {knows: {a: {b: j, c: j}}}
     assert abox.by_object == {knows: {b: {a}, c: {a}}}
     dup = abox.copy()
     dup.assert_property(c, knows, b, "j")
-    assert abox.by_subject == {knows: {a: {b, c}}}
+    assert abox.by_subject == {knows: {a: {b: j, c: j}}}
     assert abox.by_object == {knows: {b: {a}, c: {a}}}
-    assert dup.by_subject == {knows: {a: {b, c}, c: {b}}}
+    assert dup.by_subject == {knows: {a: {b: j, c: j}, c: {b: j}}}
     assert dup.by_object == {knows: {b: {a, c}, c: {a}}}
+
+
+@pytest.mark.parametrize("seed", [5, 11, 23, 42])
+def test_views_match_the_inserted_facts_and_survive_copy_and_snapshot(seed):
+    rng = random.Random(seed)
+    tbox, _ = random_instance(rng)
+    classes, properties = sorted(tbox.classes), sorted(tbox.properties)
+    people = [Iri("i", f"x{k}") for k in range(6)]
+    facts = [(rng.choice(people), rng.choice(classes)) for _ in range(12)]
+    facts += [(rng.choice(people), rng.choice(properties), rng.choice(people)) for _ in range(12 * bool(properties))]
+    facts += facts[:1] + facts[-1:]  # each again, under a second origin
+    abox, class_ref, property_ref, individual_ref = ABox(tbox), {}, {}, set()
+    for index, fact in enumerate(facts):
+        origin = Asserted(f"fact {index}") if index % 2 else Inferred(f"r{index}")
+        is_class = len(fact) == 2
+        reference = class_ref if is_class else property_ref
+        new = abox._insert_class(*fact, origin) if is_class else abox._insert_property(*fact, origin)
+        assert new is (fact not in reference)
+        reference.setdefault(fact, origin)
+        individual_ref.update(fact[::2])  # the individual, or the subject and the object
+    assert abox.class_assertions == class_ref
+    assert abox.property_assertions == property_ref
+    assert abox.individuals == individual_ref
+
+    dup = abox.copy()
+    assert dup == abox and dup.tbox is tbox
+    first, only = facts[0][0], Asserted("only in the copy")
+    if properties:  # an object that is nowhere else, so only by_object holds it
+        dup._insert_property(first, properties[0], Iri("i", "fresh"), only)
+        assert dup != abox and dup.individuals == individual_ref | {Iri("i", "fresh")}
+    tbox.declare_class(Iri("t", "Fresh"))
+    dup._insert_class(first, Iri("t", "Fresh"), only)
+    assert dup != abox
+    assert abox.class_assertions == class_ref and abox.property_assertions == property_ref
+    assert abox.individuals == individual_ref
+    assert restore_abox(tbox, snapshot_abox(abox)) == abox
 
 
 def test_inferred_origin_carries_rule_name():

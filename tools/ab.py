@@ -15,10 +15,12 @@ the base runs first in even pairs and the change in odd ones. Each run is
 The output holds, per end-to-end metric of BENCHMARK.json, both sides'
 samples, medians and quartiles and the share of pairs the change won (ties
 count for neither side), plus the seeds, the pair count, both commits, the
-Python version and the CPU count. It says "claim": false when there are
-fewer than MIN_PAIRS pairs or any run failed a check or an op. The last
-lines printed give, per metric, both medians, the change's share of wins,
-the base's quartile spread and the gain flag, then the claim flag.
+Python version and the CPU count. It says "claim": true only when there
+are at least MIN_PAIRS pairs, every run passed its checks with no failed
+op, and at least one metric shows a gain; so a neutral set never reads as
+a claim. The last lines printed give, per metric, both medians, the
+change's share of wins, the base's quartile spread and the gain flag, then
+the claim flag.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ def summarize(base: list[dict], change: list[dict], end_to_end: list[dict]) -> d
             "gain": share >= WIN_SHARE and gap > before["q3"] - before["q1"],
         }
     clean = all(run["correct"] and run["failed"] == 0 for run in base + change)
-    return {"claim": len(base) >= MIN_PAIRS and clean, "all_runs_correct": clean, "metrics": metrics}
+    gain = any(metric["gain"] for metric in metrics.values())
+    return {"claim": len(base) >= MIN_PAIRS and clean and gain, "all_runs_correct": clean, "metrics": metrics}
 
 
 def summary_line(name: str, metric: dict) -> str:
