@@ -32,6 +32,7 @@ from .errors import (
     TaskDocumentError,
 )
 from .evaluation import (
+    METRICS,
     aggregate,
     builtin_dataset,
     cell_from_counts,
@@ -192,34 +193,33 @@ def cmd_run(args) -> int:
     workers = args.workers or getattr(backend, "max_concurrency", 1)
     # Every run holds each reply, so no (instance, step) is asked twice.
     store = ScriptedBackend({}, inner=backend)
-
-    for condition in _run_conditions(args):
-        run = run_condition(
-            task,
-            dataset,
-            condition,
-            store,
-            model=model,
-            temperature=temperature,
-            workers=workers,
-            out_dir=args.out,
-            timestamp=args.timestamp,
-        )
-        if args.verbose:
-            for trace in run.traces:
-                print(
-                    f"  {trace.instance_id}: {trace.label} -> {trace.prediction} ({trace.outcome})"
-                )
-        cell = run.cell
-        accuracy = "-" if cell.accuracy is None else f"{cell.accuracy:.4f}"
-        print(
-            f"{task.id} {condition.value} model={model}: f1={cell.f1:.4f} "
-            f"acc={accuracy} scored={cell.scored} errors={cell.excluded_errors} "
-            f"-> {run.trace_path}"
-        )
-    if args.record:
-        store.save(args.record)
-        print(f"recorded replay -> {args.record}")
+    try:
+        for condition in _run_conditions(args):
+            run = run_condition(
+                task,
+                dataset,
+                condition,
+                store,
+                model=model,
+                temperature=temperature,
+                workers=workers,
+                out_dir=args.out,
+                timestamp=args.timestamp,
+            )
+            if args.verbose:
+                for trace in run.traces:
+                    print(f"  {trace.instance_id}: {trace.label} -> {trace.prediction} ({trace.outcome})")
+            cell = run.cell
+            print(
+                f"{task.id} {condition.value} model={model}: f1={cell.f1:.4f} "
+                f"acc={cell.accuracy:.4f} scored={cell.scored} errors={cell.excluded_errors} "
+                f"-> {run.trace_path}"
+            )
+    finally:
+        # Also when a condition fails, so no reply the run was given is lost.
+        if args.record:
+            store.save(args.record)
+            print(f"recorded replay -> {args.record}")
     return 0
 
 
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument(
         "--metric",
-        choices=("f1", "accuracy", "precision", "recall"),
+        choices=METRICS,
         default="f1",
         help="metric for --compare (default f1)",
     )

@@ -42,6 +42,8 @@ LABELS = (POSITIVE_LABEL, NEGATIVE_LABEL)
 SPLITS = ("train", "test")
 
 _RECORD_KEYS = ("id", "text", "label", "split")
+# The rates of a report cell, in the order of the CSV columns and table columns.
+METRICS = ("accuracy", "precision", "recall", "f1")
 
 
 # -- datasets ----------------------------------------------------------------------
@@ -245,17 +247,8 @@ class ReportCell:
 def cell_from_counts(
     model: str, task: str, condition: str, counts: ConfusionCounts
 ) -> ReportCell:
-    m = metrics(counts)
     return ReportCell(
-        model=model,
-        task=task,
-        condition=condition,
-        f1=m["f1"],
-        accuracy=m["accuracy"],
-        precision=m["precision"],
-        recall=m["recall"],
-        scored=counts.scored,
-        excluded_errors=counts.excluded_errors,
+        model, task, condition, **metrics(counts), scored=counts.scored, excluded_errors=counts.excluded_errors
     )
 
 
@@ -285,13 +278,7 @@ def _mean(values: Sequence[Optional[float]]) -> Optional[float]:
 
 
 def _summarize(cells: Sequence[ReportCell]) -> MetricSummary:
-    return MetricSummary(
-        n=len(cells),
-        f1=math.fsum(c.f1 for c in cells) / len(cells),
-        accuracy=_mean([c.accuracy for c in cells]),
-        precision=_mean([c.precision for c in cells]),
-        recall=_mean([c.recall for c in cells]),
-    )
+    return MetricSummary(len(cells), **{name: _mean([getattr(c, name) for c in cells]) for name in METRICS})
 
 
 def _by_condition(cells: Sequence[ReportCell]) -> dict[str, MetricSummary]:
@@ -318,18 +305,22 @@ def aggregate(cells: Sequence[ReportCell]) -> RunReport:
     """
     if not cells:
         raise StatsError("cannot aggregate an empty cell list")
-    seen: set[tuple[str, str, str]] = set()
-    for cell in cells:
-        key = (cell.model, cell.task, cell.condition)
-        if key in seen:
-            raise StatsError(f"duplicate report cell for {key}")
-        seen.add(key)
+    _check_unique(cells)
     return RunReport(
         cells=tuple(cells),
         overall=_by_condition(cells),
         per_task=_grouped(cells, "task"),
         per_model=_grouped(cells, "model"),
     )
+
+
+def _check_unique(cells: Sequence[ReportCell]) -> None:
+    seen: set[tuple[str, str, str]] = set()
+    for cell in cells:
+        key = (cell.model, cell.task, cell.condition)
+        if key in seen:
+            raise StatsError(f"duplicate report cell for {key}")
+        seen.add(key)
 
 
 def _grouped(cells: Sequence[ReportCell], field: str) -> dict[str, dict[str, MetricSummary]]:
@@ -364,6 +355,7 @@ def compare(
     metric: str = "f1",
 ) -> ComparisonResult:
     """Paired t-test between two conditions over matching (model, task) cells."""
+    _check_unique(cells)
     sides: dict[str, dict[tuple[str, str], float]] = {condition_a: {}, condition_b: {}}
     for cell in cells:
         if cell.condition not in sides:
@@ -394,8 +386,8 @@ def compare(
         condition_b=condition_b,
         metric=metric,
         n=result.n,
-        mean_a=math.fsum(xs) / len(xs),
-        mean_b=math.fsum(ys) / len(ys),
+        mean_a=_mean(xs),
+        mean_b=_mean(ys),
         t=result.t,
         p=result.p,
         dz=result.dz,
@@ -502,35 +494,24 @@ def run_condition(
     else:
         traces = [one(record) for record in test]
 
-    counts = fold_counts(t.to_dict() for t in traces)
-    cell = cell_from_counts(model, task.id, condition.value, counts)
-    run = ConditionRun(cell=cell, traces=traces)
+    # The traces are written before the cell is scored, so a condition whose
+    # every instance errored keeps them, though its cell cannot be scored.
+    trace_path = report_path = None
     if out_dir is not None:
         target = Path(out_dir) / _path_part(task.id) / _path_part(condition.value) / _path_part(model)
         target.mkdir(parents=True, exist_ok=True)
-        run.trace_path = target / "traces.jsonl"
-        run.trace_path.write_text(
-            dump_traces(traces, task.id, condition, model, timestamp=timestamp),
-            encoding="utf-8",
-        )
-        run.report_path = target / "report.csv"
-        run.report_path.write_text(report_csv([cell]), encoding="utf-8")
-    return run
+        trace_path = target / "traces.jsonl"
+        trace_path.write_text(dump_traces(traces, task.id, condition, model, timestamp=timestamp), encoding="utf-8")
+    cell = cell_from_counts(model, task.id, condition.value, fold_counts(t.to_dict() for t in traces))
+    if out_dir is not None:
+        report_path = target / "report.csv"
+        report_path.write_text(report_csv([cell]), encoding="utf-8")
+    return ConditionRun(cell=cell, traces=traces, trace_path=trace_path, report_path=report_path)
 
 
 # -- report emission ------------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "model",
-    "task",
-    "condition",
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-    "scored",
-    "excluded_errors",
-)
+_CSV_COLUMNS = ("model", "task", "condition", *METRICS, "scored", "excluded_errors")
 
 
 def _csv_value(value: object) -> str:
@@ -557,13 +538,11 @@ def _pct(value: Optional[float]) -> str:
 
 def _markdown_block(title: str, summaries: dict[str, MetricSummary]) -> list[str]:
     lines = [f"### {title}", ""]
-    lines.append("| Condition | Accuracy | Precision | Recall | F1 | Cells |")
-    lines.append("|---|---|---|---|---|---|")
+    lines.append("| Condition | " + " | ".join(name.capitalize() for name in METRICS) + " | Cells |")
+    lines.append("|---" * (len(METRICS) + 2) + "|")
     for condition, s in summaries.items():
-        lines.append(
-            f"| {condition} | {_pct(s.accuracy)} | {_pct(s.precision)} "
-            f"| {_pct(s.recall)} | {_pct(s.f1)} | {s.n} |"
-        )
+        rates = " | ".join(_pct(getattr(s, name)) for name in METRICS)
+        lines.append(f"| {condition} | {rates} | {s.n} |")
     lines.append("")
     return lines
 

@@ -78,6 +78,18 @@ def test_too_few_pairs_or_a_faulty_run_makes_no_claim(pairs, broken):
     assert summary["metrics"]["op_ms_p50"]["change_better_share"] == pytest.approx(8 / 9 if pairs == 9 else 0.9)
 
 
+def test_a_metric_is_within_its_bound_unless_its_median_got_worse_by_more_than_the_bound():
+    # op_ms_p50 median 52 -> 64 is 23% worse; ops_per_s median 20 -> 14 is 30% worse
+    base = [result(ms, 20.0) for ms in BASE_MS]
+    change = [result(ms + 12.0, 14.0) for ms in BASE_MS]
+    metrics = ab.summarize(base, change, END_TO_END)["metrics"]
+    assert metrics["op_ms_p50"]["within_bound"] is True
+    assert metrics["ops_per_s"]["within_bound"] is False
+    # a move the better way is never out of bound, however large
+    better = ab.summarize(base, [result(ms / 2, 40.0) for ms in BASE_MS], END_TO_END)["metrics"]
+    assert all(metric["within_bound"] for metric in better.values())
+
+
 def test_a_single_pair_has_degenerate_quartiles():
     summary = ab.summarize([result(50.0, 20.0)], [result(40.0, 25.0)], END_TO_END)
     op = summary["metrics"]["op_ms_p50"]

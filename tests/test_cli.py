@@ -205,6 +205,22 @@ def test_run_record_produces_a_working_replay(capsys, tmp_path):
     assert first == second
 
 
+def test_an_all_error_condition_keeps_its_traces_and_record_and_exits_2(capsys, tmp_path):
+    replay = json.loads(resources.files("ruleweave").joinpath("data/replay/hearsay.replay.json").read_text("utf-8"))
+    entity_only = [record for record in replay if record["step"] == "entity"]
+    (tmp_path / "entity.replay.json").write_text(json.dumps(entity_only), encoding="utf-8")
+    recorded = tmp_path / "recorded.replay.json"
+    code, _, err = run_hearsay(
+        capsys,
+        tmp_path / "out",
+        *("--replay", str(tmp_path / "entity.replay.json"), "--condition", "SD", "--record", str(recorded)),
+    )
+    assert (code, err) == (2, "stats error: no scored instances: every instance errored or none were run\n")
+    lines = (tmp_path / "out" / "hearsay" / "SD" / "scripted" / "traces.jsonl").read_text(encoding="utf-8")
+    assert [json.loads(line).get("outcome") for line in lines.splitlines()[1:]] == ["Error"] * 10
+    assert json.loads(recorded.read_text(encoding="utf-8")) == entity_only
+
+
 # SHA-256 of the replay file that `run --record` writes for each built-in task
 # run under all six conditions from its bundled replay.
 GRID_REPLAY_SHA256 = {
@@ -492,6 +508,33 @@ def test_report_compare_paired_conditions(capsys, tmp_path):
     assert code == 0
     assert "Paired comparisons" in out
     assert "| SD | SD-Direct | f1 | 2 |" in out
+
+
+# SHA-256 of the files `report --compare SD SD-Direct --metric accuracy --out`
+# writes over hearsay (from its ablation replay) and method_application, each
+# run under SD and SD-Direct.
+COMPARED_REPORT_SHA256 = {
+    "report.md": "3c7ad7e82b8ea91bff41ba0d1256165b52951206aff2183bb3b0577fcf5cf29f",
+    "report.csv": "6b7e35644103a401011ff74941dfb1ddb577da220ba1912abddbfbae7aa91254",
+}
+
+
+def test_report_files_match_the_pinned_digests(capsys, tmp_path):
+    runs, report_dir = tmp_path / "runs", tmp_path / "report"
+    for task_id, extra in (
+        ("hearsay", ["--replay", replay_path("hearsay.ablation.replay.json")]),
+        ("method_application", []),
+    ):
+        argv = ["run", "--task", task_id, *extra, "--condition", "SD", "--condition", "SD-Direct"]
+        code, _, _ = run_cli(capsys, argv + ["--out", str(runs), "--timestamp", "t0"])
+        assert code == 0
+    argv = ["report", str(runs), "--compare", "SD", "SD-Direct", "--metric", "accuracy", "--out", str(report_dir)]
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    row = "| SD | SD-Direct | accuracy | 2 | 100.0 | 85.0 | +15.0pp | 1.000 | 0.5000 | 0.707 |"
+    assert (report_dir / "report.md").read_text(encoding="utf-8").endswith(f"{row}\n")
+    digests = {name: hashlib.sha256((report_dir / name).read_bytes()).hexdigest() for name in COMPARED_REPORT_SHA256}
+    assert digests == COMPARED_REPORT_SHA256
 
 
 def test_report_out_writes_csv_and_markdown(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -284,6 +285,21 @@ def test_aggregate_rejects_empty_and_duplicate_cells():
         aggregate([cell("m", "t", "SD", 0.5), cell("m", "t", "SD", 0.6)])
 
 
+def test_compare_rejects_a_duplicate_cell_like_aggregate():
+    cells = [
+        cell("m1", "t", "A", 0.5),
+        cell("m1", "t", "A", 0.9),
+        cell("m1", "t", "B", 0.4),
+        cell("m2", "t", "A", 0.7),
+        cell("m2", "t", "B", 0.1),
+    ]
+    duplicate = re.escape("duplicate report cell for ('m1', 't', 'A')")
+    with pytest.raises(StatsError, match=duplicate):
+        aggregate(cells)
+    with pytest.raises(StatsError, match=duplicate):
+        compare(cells, "A", "B")
+
+
 def test_aggregate_mixed_missing_metrics_mean_to_none():
     cells = [
         cell("m1", "t", "SD", 0.5, accuracy=0.6),
@@ -535,3 +551,30 @@ def test_report_markdown_renders_an_undefined_comparison_as_a_row_naming_why():
     rendered = report_markdown(aggregate(cells), [("SD", "FS", "f1", "need at least 2 pairs, got 1")])
     row = "| SD | FS | f1 | undefined: need at least 2 pairs, got 1 | - | - | - | - | - | - |"
     assert rendered.endswith(f"|---|---|---|---|---|---|---|---|---|---|\n{row}\n")
+
+
+# SHA-256 of report_markdown and report_csv over the reference grid plus one
+# counted model on the three built-in tasks under SD and FS, with a defined
+# SD-FS F1 comparison and an undefined SD-FS accuracy one.
+REPORT_SHA256 = {
+    "report.md": "2fc21c9520a86e77c0c3b82086d1e93d1811325bc57415c8cb1d854151e4c272",
+    "report.csv": "b2745753b62f9a8bc5f34ee1b4170e7ca803e619cf979820f9aeb9688fca8da8",
+}
+
+
+def test_report_bytes_match_the_pinned_digests(grid):
+    counted = [
+        cell_from_counts(
+            "counted", task, condition, ConfusionCounts(tp=3 + i, fp=1 + j, tn=5 - j, fn=i, excluded_errors=j)
+        )
+        for i, task in enumerate(("clinical_eligibility", "hearsay", "method_application"))
+        for j, condition in enumerate(("SD", "FS"))
+    ]
+    cells = grid + counted
+    comparisons = [compare(cells, "SD", "FS")]
+    with pytest.raises(StatsError) as undefined:
+        compare(cells, "SD", "FS", metric="accuracy")
+    comparisons.append(("SD", "FS", "accuracy", str(undefined.value)))
+    rendered = {"report.md": report_markdown(aggregate(cells), comparisons), "report.csv": report_csv(cells)}
+    digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in rendered.items()}
+    assert digests == REPORT_SHA256

@@ -18,9 +18,11 @@ count for neither side), plus the seeds, the pair count, both commits, the
 Python version and the CPU count. It says "claim": true only when there
 are at least MIN_PAIRS pairs, every run passed its checks with no failed
 op, and at least one metric shows a gain; so a neutral set never reads as
-a claim. The last lines printed give, per metric, both medians, the
+a claim. Each metric also says "within_bound": false when its median moved
+the worse way by more than the metric's bound in BENCHMARK.json (a share of
+the base median). The last lines printed give, per metric, both medians, the
 change's share of wins, the base's quartile spread and the gain flag, then
-the claim flag.
+the claim flag, then the metrics outside their bounds.
 """
 
 from __future__ import annotations
@@ -79,7 +81,9 @@ def summarize(base: list[dict], change: list[dict], end_to_end: list[dict]) -> d
     """The per-metric comparison of paired runs; base[i] and change[i] are
     the results of pair i, each as the last JSON line of perfbench/run.py.
     A metric's "gain" holds when the change won at least WIN_SHARE of the
-    pairs and the medians differ by more than the base's quartile spread."""
+    pairs and the medians differ by more than the base's quartile spread;
+    it is "within_bound" unless the change's median is worse than the base's
+    by more than the spec's bound, a share of the base median."""
     if len(base) != len(change):
         raise ValueError(f"{len(base)} base runs but {len(change)} change runs")
     metrics = {}
@@ -99,6 +103,7 @@ def summarize(base: list[dict], change: list[dict], end_to_end: list[dict]) -> d
             "change_better_share": share,
             "median_relative_change": relative,
             "gain": share >= WIN_SHARE and gap > before["q3"] - before["q1"],
+            "within_bound": -gap <= spec["bound"] * abs(before["median"]),
         }
     clean = all(run["correct"] and run["failed"] == 0 for run in base + change)
     gain = any(metric["gain"] for metric in metrics.values())
@@ -165,6 +170,8 @@ def main(argv=None) -> int:
     for name, metric in summary["metrics"].items():
         print(summary_line(name, metric))
     print(f"claim: {str(summary['claim']).lower()}")
+    outside = [name for name, metric in summary["metrics"].items() if not metric["within_bound"]]
+    print(f"outside bound: {', '.join(outside) or 'none'}")
     return 0
 
 
