@@ -165,6 +165,10 @@ class ScriptedBackend:
             raise BackendError(f"no scripted response for {key}")
         return BackendResponse(text=text, data=parse_json_payload(text))
 
+    @property
+    def held(self) -> int:
+        return len(self._responses)
+
     def save(self, path) -> None:
         """Write every held reply as a replay file, sorted by key."""
         with self._lock:

@@ -144,11 +144,7 @@ def _build_backend(args, task: TaskDefinition, config: dict) -> tuple[Backend, s
 
 
 def _run_conditions(args) -> list[Condition]:
-    if not args.condition:
-        conditions = [Condition.SD]
-    else:
-        conditions = [parse_condition(value) for value in args.condition]
-    return list(dict.fromkeys(conditions))
+    return list(dict.fromkeys(parse_condition(value) for value in args.condition or [Condition.SD.value]))
 
 
 def cmd_validate(args) -> int:
@@ -170,10 +166,7 @@ def cmd_run(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     task = load_task(_task_document(args.task))
-    if args.dataset:
-        dataset = load_dataset(args.dataset)
-    else:
-        dataset = builtin_dataset(task.id)
+    dataset = load_dataset(args.dataset) if args.dataset else builtin_dataset(task.id)
     if args.sample is not None:
         dataset = sample_dataset(dataset, args.sample, args.seed)
     config = _load_config(args.config)
@@ -193,8 +186,9 @@ def cmd_run(args) -> int:
     workers = args.workers or getattr(backend, "max_concurrency", 1)
     # Every run holds each reply, so no (instance, step) is asked twice.
     store = ScriptedBackend({}, inner=backend)
+    conditions = _run_conditions(args)
     try:
-        for condition in _run_conditions(args):
+        for condition in conditions:
             run = run_condition(
                 task,
                 dataset,
@@ -208,7 +202,9 @@ def cmd_run(args) -> int:
             )
             if args.verbose:
                 for trace in run.traces:
-                    print(f"  {trace.instance_id}: {trace.label} -> {trace.prediction} ({trace.outcome})")
+                    print(
+                        f"  {trace.instance_id}: {trace.label} -> {trace.prediction} ({trace.outcome})"
+                    )
             cell = run.cell
             print(
                 f"{task.id} {condition.value} model={model}: f1={cell.f1:.4f} "
@@ -216,8 +212,9 @@ def cmd_run(args) -> int:
                 f"-> {run.trace_path}"
             )
     finally:
-        # Also when a condition fails, so no reply the run was given is lost.
-        if args.record:
+        # Also when a condition fails, so no reply is lost; with none, --record stays as it was.
+        if args.record and store.held:
+            Path(args.record).parent.mkdir(parents=True, exist_ok=True)
             store.save(args.record)
             print(f"recorded replay -> {args.record}")
     return 0
@@ -239,19 +236,24 @@ def _collect_trace_files(paths: Sequence[str]) -> list[Path]:
 
 
 def cmd_report(args) -> int:
-    cells = []
+    # Each StatsError leaves its file or comparison out of the report (the comparison as
+    # a row naming the reason); once the report of the rest is out, the first exits 2.
+    cells, undefined = [], []
     for path in _collect_trace_files(args.traces):
         header, records = load_traces(path, keep=("label", "prediction", "outcome"))
         counts = fold_counts(records)
-        cells.append(
-            cell_from_counts(header["model"], header["task"], header["condition"], counts)
-        )
+        try:  # a trace whose every instance errored has no rates, so no cell
+            cells.append(cell_from_counts(header["model"], header["task"], header["condition"], counts))
+        except StatsError as exc:
+            undefined.append(StatsError(f"{path}: {exc}"))
+    if not cells:
+        raise undefined[0]
     report = aggregate(cells)
-    comparisons, undefined = [], []
+    comparisons = []
     for first, second in args.compare or []:
         try:
             comparisons.append(compare(cells, first, second, metric=args.metric))
-        except StatsError as exc:  # a row naming the reason; exits 2 once the report is out
+        except StatsError as exc:
             comparisons.append((first, second, args.metric, str(exc)))
             undefined.append(exc)
     rendered = report_markdown(report, comparisons)

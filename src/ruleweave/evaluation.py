@@ -248,7 +248,12 @@ def cell_from_counts(
     model: str, task: str, condition: str, counts: ConfusionCounts
 ) -> ReportCell:
     return ReportCell(
-        model, task, condition, **metrics(counts), scored=counts.scored, excluded_errors=counts.excluded_errors
+        model=model,
+        task=task,
+        condition=condition,
+        **metrics(counts),
+        scored=counts.scored,
+        excluded_errors=counts.excluded_errors,
     )
 
 
@@ -257,10 +262,10 @@ class MetricSummary:
     """Unweighted means over a group of cells; None where any cell lacks a metric."""
 
     n: int
-    f1: float
     accuracy: Optional[float]
     precision: Optional[float]
     recall: Optional[float]
+    f1: float
 
 
 @dataclass(frozen=True)
@@ -278,7 +283,8 @@ def _mean(values: Sequence[Optional[float]]) -> Optional[float]:
 
 
 def _summarize(cells: Sequence[ReportCell]) -> MetricSummary:
-    return MetricSummary(len(cells), **{name: _mean([getattr(c, name) for c in cells]) for name in METRICS})
+    rates = {name: _mean([getattr(cell, name) for cell in cells]) for name in METRICS}
+    return MetricSummary(n=len(cells), **rates)
 
 
 def _by_condition(cells: Sequence[ReportCell]) -> dict[str, MetricSummary]:
@@ -407,19 +413,12 @@ def reference_cells() -> list[ReportCell]:
     payload = json.loads(
         resources.files("ruleweave").joinpath("data/reference_f1.json").read_text("utf-8")
     )
-    cells: list[ReportCell] = []
-    for task_id in sorted(payload["tasks"]):
-        for row in payload["tasks"][task_id]:
-            for condition in payload["conditions"]:
-                cells.append(
-                    ReportCell(
-                        model=row["model"],
-                        task=task_id,
-                        condition=condition,
-                        f1=row[condition] / 100.0,
-                    )
-                )
-    return cells
+    return [
+        ReportCell(model=row["model"], task=task_id, condition=condition, f1=row[condition] / 100.0)
+        for task_id in sorted(payload["tasks"])
+        for row in payload["tasks"][task_id]
+        for condition in payload["conditions"]
+    ]
 
 
 # -- condition runs -------------------------------------------------------------------
@@ -501,10 +500,15 @@ def run_condition(
         target = Path(out_dir) / _path_part(task.id) / _path_part(condition.value) / _path_part(model)
         target.mkdir(parents=True, exist_ok=True)
         trace_path = target / "traces.jsonl"
-        trace_path.write_text(dump_traces(traces, task.id, condition, model, timestamp=timestamp), encoding="utf-8")
-    cell = cell_from_counts(model, task.id, condition.value, fold_counts(t.to_dict() for t in traces))
-    if out_dir is not None:
+        trace_path.write_text(
+            dump_traces(traces, task.id, condition, model, timestamp=timestamp),
+            encoding="utf-8",
+        )
+        # An earlier run's report.csv must not sit beside traces it does not score.
         report_path = target / "report.csv"
+        report_path.unlink(missing_ok=True)
+    cell = cell_from_counts(model, task.id, condition.value, fold_counts(t.to_dict() for t in traces))
+    if report_path is not None:
         report_path.write_text(report_csv([cell]), encoding="utf-8")
     return ConditionRun(cell=cell, traces=traces, trace_path=trace_path, report_path=report_path)
 
@@ -538,8 +542,10 @@ def _pct(value: Optional[float]) -> str:
 
 def _markdown_block(title: str, summaries: dict[str, MetricSummary]) -> list[str]:
     lines = [f"### {title}", ""]
-    lines.append("| Condition | " + " | ".join(name.capitalize() for name in METRICS) + " | Cells |")
-    lines.append("|---" * (len(METRICS) + 2) + "|")
+    # str.capitalize titles every rate name, "f1" as "F1".
+    header = ["Condition", *(name.capitalize() for name in METRICS), "Cells"]
+    lines.append("| " + " | ".join(header) + " |")
+    lines.append("|" + "---|" * len(header))
     for condition, s in summaries.items():
         rates = " | ".join(_pct(getattr(s, name)) for name in METRICS)
         lines.append(f"| {condition} | {rates} | {s.n} |")

@@ -205,10 +205,16 @@ def test_run_record_produces_a_working_replay(capsys, tmp_path):
     assert first == second
 
 
-def test_an_all_error_condition_keeps_its_traces_and_record_and_exits_2(capsys, tmp_path):
+def write_entity_only_replay(path) -> list:
+    """A hearsay replay that keeps only the entity replies, so every instance ends as Error."""
     replay = json.loads(resources.files("ruleweave").joinpath("data/replay/hearsay.replay.json").read_text("utf-8"))
     entity_only = [record for record in replay if record["step"] == "entity"]
-    (tmp_path / "entity.replay.json").write_text(json.dumps(entity_only), encoding="utf-8")
+    path.write_text(json.dumps(entity_only), encoding="utf-8")
+    return entity_only
+
+
+def test_an_all_error_condition_keeps_its_traces_and_record_and_exits_2(capsys, tmp_path):
+    entity_only = write_entity_only_replay(tmp_path / "entity.replay.json")
     recorded = tmp_path / "recorded.replay.json"
     code, _, err = run_hearsay(
         capsys,
@@ -219,6 +225,82 @@ def test_an_all_error_condition_keeps_its_traces_and_record_and_exits_2(capsys, 
     lines = (tmp_path / "out" / "hearsay" / "SD" / "scripted" / "traces.jsonl").read_text(encoding="utf-8")
     assert [json.loads(line).get("outcome") for line in lines.splitlines()[1:]] == ["Error"] * 10
     assert json.loads(recorded.read_text(encoding="utf-8")) == entity_only
+
+
+@pytest.mark.parametrize(
+    "failure, exit_code, message",
+    [
+        ("unknown-condition", 2, "config error: unknown condition 'BOGUS'"),
+        ("ids-that-mint-one-individual", 4, "dataset error: instance ids 'a-1' and 'a_1'"),
+    ],
+    ids=["unknown-condition", "ids-that-mint-one-individual"],
+)
+def test_a_run_that_fails_before_its_first_reply_leaves_the_record_file_alone(
+    capsys, tmp_path, failure, exit_code, message
+):
+    if failure == "unknown-condition":
+        extra = ("--condition", "BOGUS")
+    else:
+        lines = [{"id": i, "text": "a remark", "label": "No", "split": "test"} for i in ("a-1", "a_1")]
+        (tmp_path / "ids.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        extra = ("--dataset", str(tmp_path / "ids.jsonl"))
+    earlier = tmp_path / "earlier.replay.json"
+    earlier.write_text('[{"instance_id": "t01", "step": "entity", "response": "{}"}]\n', encoding="utf-8")
+    before = earlier.read_bytes()
+    # An existing record file, and one inside an --out the run has not made yet.
+    for record in (earlier, tmp_path / "out" / "new.replay.json"):
+        code, out, err = run_hearsay(capsys, tmp_path / "out", *extra, "--record", str(record))
+        assert (code, out) == (exit_code, "")
+        assert err.startswith(message)
+    assert earlier.read_bytes() == before
+    assert not (tmp_path / "out").exists()
+
+
+class _InterruptedBackend:
+    """Answers `answers` requests from the inner backend, then is interrupted."""
+
+    def __init__(self, inner, answers):
+        self.inner = inner
+        self.answers = answers
+
+    def complete(self, request):
+        if self.answers == 0:
+            raise KeyboardInterrupt
+        self.answers -= 1
+        return self.inner.complete(request)
+
+
+def test_an_interrupted_run_keeps_its_replies_in_a_record_file_inside_an_unmade_out(capsys, tmp_path, monkeypatch):
+    build_backend = cli._build_backend
+    monkeypatch.setattr(
+        cli, "_build_backend", lambda args, task, config: (_InterruptedBackend(build_backend(args, task, config)[0], 3), "m")
+    )
+    recorded = tmp_path / "out" / "recorded.replay.json"
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--task", "hearsay", "--condition", "FS", "--out", str(tmp_path / "out"), "--record", str(recorded)])
+    assert [record["instance_id"] for record in json.loads(recorded.read_text(encoding="utf-8"))] == ["t01", "t02", "t03"]
+
+
+def test_report_leaves_out_an_all_error_trace_names_it_and_exits_2(capsys, tmp_path):
+    runs = tmp_path / "runs"
+    code, _, _ = run_hearsay(capsys, runs, "--condition", "SD", "--condition", "FS")
+    assert code == 0
+    fs_dir = runs / "hearsay" / "FS" / "scripted"
+    assert (fs_dir / "report.csv").is_file()
+    write_entity_only_replay(tmp_path / "entity.replay.json")
+    code, _, _ = run_hearsay(capsys, runs, "--condition", "FS", "--replay", str(tmp_path / "entity.replay.json"))
+    assert code == 2
+    assert not (fs_dir / "report.csv").exists()
+
+    named = f"stats error: {fs_dir / 'traces.jsonl'}: no scored instances: every instance errored or none were run\n"
+    code, out, err = run_cli(capsys, ["report", str(runs), "--out", str(tmp_path / "report")])
+    assert (code, err) == (2, named)
+    assert out.startswith("wrote ")
+    rows = (tmp_path / "report" / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["SD"]
+
+    code, out, err = run_cli(capsys, ["report", str(fs_dir / "traces.jsonl")])
+    assert (code, out, err) == (2, "", named)
 
 
 # SHA-256 of the replay file that `run --record` writes for each built-in task
