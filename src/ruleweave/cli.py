@@ -166,7 +166,10 @@ def cmd_run(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     task = load_task(_task_document(args.task))
-    dataset = load_dataset(args.dataset) if args.dataset else builtin_dataset(task.id)
+    if args.dataset:
+        dataset = load_dataset(args.dataset)
+    else:
+        dataset = builtin_dataset(task.id)
     if args.sample is not None:
         dataset = sample_dataset(dataset, args.sample, args.seed)
     config = _load_config(args.config)
