@@ -190,19 +190,24 @@ def cmd_run(args) -> int:
     # Every run holds each reply, so no (instance, step) is asked twice.
     store = ScriptedBackend({}, inner=backend)
     conditions = _run_conditions(args)
+    unscored: list[StatsError] = []
     try:
         for condition in conditions:
-            run = run_condition(
-                task,
-                dataset,
-                condition,
-                store,
-                model=model,
-                temperature=temperature,
-                workers=workers,
-                out_dir=args.out,
-                timestamp=args.timestamp,
-            )
+            try:
+                run = run_condition(
+                    task,
+                    dataset,
+                    condition,
+                    store,
+                    model=model,
+                    temperature=temperature,
+                    workers=workers,
+                    out_dir=args.out,
+                    timestamp=args.timestamp,
+                )
+            except StatsError as exc:  # every instance errored; its traces are written
+                unscored.append(exc)
+                continue
             if args.verbose:
                 for trace in run.traces:
                     print(
@@ -220,6 +225,8 @@ def cmd_run(args) -> int:
             Path(args.record).parent.mkdir(parents=True, exist_ok=True)
             store.save(args.record)
             print(f"recorded replay -> {args.record}")
+    if unscored:
+        raise unscored[0]
     return 0
 
 
@@ -291,7 +298,7 @@ def cmd_query(args) -> int:
     if unknown:
         raise DatasetError(f"instance {sorted(unknown)[0]!r} not present in {args.trace}")
     abox = restore_instances(task.tbox, [r for r in records if not wanted or r["instance_id"] in wanted])
-    if not abox.individuals:
+    if not abox.direct_classes and not abox.by_subject:  # a property's map is made by its first fact
         raise DatasetError(
             f"{args.trace} holds no ABox snapshots; query needs traces from a "
             "reasoner-backed condition (SD or SD-Comp)"

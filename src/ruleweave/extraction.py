@@ -9,6 +9,7 @@ up as an error.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, TypeVar
 
@@ -44,12 +45,14 @@ def sanitize_local_name(text: str) -> str:
     return cleaned if _NAME_RE.match(cleaned) else "_" + cleaned
 
 
+# A sanitized local name always matches the name grammar, so the two names
+# below skip Iri's checks.
 def mint_individual(instance_id: str, entity_name: str) -> Iri:
-    return Iri(INSTANCE_PREFIX, sanitize_local_name(f"{instance_id}_{entity_name}"))
+    return sys.intern(f"{INSTANCE_PREFIX}:{sanitize_local_name(f'{instance_id}_{entity_name}')}")
 
 
 def case_individual(instance_id: str) -> Iri:
-    return Iri(INSTANCE_PREFIX, sanitize_local_name(instance_id))
+    return sys.intern(f"{INSTANCE_PREFIX}:{sanitize_local_name(instance_id)}")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ fact. Within one rule and one round, the complete matches are sorted by
 their values in variable-name order before any fires, so a plan's join
 order does not matter. A logged binding names its variables in the order
 they occur in the pivot and then the other atoms in declaration order, for
-the first pivot that found the match. Each round matches every rule, then
+the first pivot that found the match; `_compile` fixes that key order in
+each pivot's `binding` (`_binder`). Each round matches every rule, then
 commits the matches in that order, so a fact derived in a round is seen
 only in the next, and the store needs one write path, not a deferred one.
 Inconsistency never halts chaining; violations are collected after the
@@ -188,14 +189,31 @@ def _picker(indices: Sequence[int], width: int) -> Callable[[Row], Row]:
     return itemgetter(*indices)
 
 
+def _binder(names: Sequence[str], indices: Sequence[int]) -> Callable[[Row], Binding]:
+    """row -> {names[k]: row[indices[k]]} in names order: a dict display of
+    keys fixed here for up to three variables."""
+    if not names:
+        return lambda row: {}
+    if len(names) == 1:
+        (a,), (i,) = names, indices
+        return lambda row: {a: row[i]}
+    if len(names) == 2:
+        (a, b), (i, j) = names, indices
+        return lambda row: {a: row[i], b: row[j]}
+    if len(names) == 3:
+        (a, b, c), (i, j, k) = names, indices
+        return lambda row: {a: row[i], b: row[j], c: row[k]}
+    values = itemgetter(*indices)
+    return lambda row: dict(zip(names, values(row)))
+
+
 class _Pivot(NamedTuple):
     table: int  # the delta map that has the pivot's predicate as a key
     predicate: Iri
     seed: Callable[[Delta], list[Row]]
     steps: tuple[Step, ...]
     canonical: Callable[[Row], Row]  # a plan row -> its values by variable name
-    names: tuple[str, ...]  # the `fired` key order
-    fired: Callable[[Row], Row]  # a canonical row -> its values in `names` order
+    binding: Callable[[Row], Binding]  # a canonical row -> its `fired` binding
 
 
 def _compile(rule: SwrlRule) -> tuple[tuple[_Pivot, ...], Callable[[Row], Row]]:
@@ -212,7 +230,7 @@ def _compile(rule: SwrlRule) -> tuple[tuple[_Pivot, ...], Callable[[Row], Row]]:
         pivots.append(_Pivot(
             int(not is_class), atom.cls if is_class else atom.prop, seed, steps,
             _picker([slots[name] for name in variables], len(variables)),
-            names, _picker([by_name[name] for name in names], len(variables)),
+            _binder(names, [by_name[name] for name in names]),
         ))
     head = rule.consequent
     terms = (head.term,) if isinstance(head, ClassAtom) else (head.subject, head.object)
@@ -222,14 +240,14 @@ def _compile(rule: SwrlRule) -> tuple[tuple[_Pivot, ...], Callable[[Row], Row]]:
     return tuple(pivots), lambda row: tuple(get(row) for get in getters)
 
 
-def _rule_rows(pivots: Sequence[_Pivot], full: View, delta: Delta) -> list[tuple[Row, _Pivot]]:
+def _rule_rows(pivots: Sequence[_Pivot], full: View, delta: Delta) -> list[tuple[Row, Callable[[Row], Binding]]]:
     """Complete antecedent matches that touch the delta, as canonical rows
-    with the first pivot that found each, sorted for replay."""
-    found: dict[Row, _Pivot] = {}
+    with the binder of the first pivot that found each, sorted for replay."""
+    found: dict[Row, Callable[[Row], Binding]] = {}
     for pivot in pivots:
         if pivot.predicate in delta[pivot.table]:
             for row in map(pivot.canonical, _run(pivot.steps, pivot.seed(delta), full)):
-                found.setdefault(row, pivot)
+                found.setdefault(row, pivot.binding)
     return sorted(found.items())
 
 
@@ -271,24 +289,26 @@ def _fixpoint(tbox: TBox, abox: ABox) -> tuple[ABox, list[tuple[str, Binding]]]:
         next_members: dict[Iri, set[Iri]] = {}
         next_pairs: dict[Iri, list[tuple[Iri, Iri]]] = {}
         for name, head, ground, rows in matched:
-            origin, derived = Inferred(name), []
-            for row, pivot in rows:
-                terms = ground(row)
-                if isinstance(head, PropertyAtom):
-                    if not work._insert_property(terms[0], head.prop, terms[1], origin):
-                        continue
-                    derived.append(terms)
-                elif work._insert_class(terms[0], head.cls, origin):
-                    for super_cls in closure[head.cls]:
-                        known = full_members.setdefault(super_cls, set())
-                        if terms[0] not in known:
-                            known.add(terms[0])
-                            next_members.setdefault(super_cls, set()).add(terms[0])
-                else:
-                    continue
-                fired.append((name, dict(zip(pivot.names, pivot.fired(row)))))
-            if derived:
-                next_pairs.setdefault(head.prop, []).extend(derived)
+            origin = Inferred(name)
+            if isinstance(head, PropertyAtom):
+                derived = []
+                for row, binding in rows:
+                    terms = ground(row)
+                    if work._insert_property(terms[0], head.prop, terms[1], origin):
+                        derived.append(terms)
+                        fired.append((name, binding(row)))
+                if derived:
+                    next_pairs.setdefault(head.prop, []).extend(derived)
+            else:
+                for row, binding in rows:
+                    (member,) = ground(row)
+                    if work._insert_class(member, head.cls, origin):
+                        for super_cls in closure[head.cls]:
+                            known = full_members.setdefault(super_cls, set())
+                            if member not in known:
+                                known.add(member)
+                                next_members.setdefault(super_cls, set()).add(member)
+                        fired.append((name, binding(row)))
         delta = (next_members, next_pairs)
     return work, fired
 

@@ -227,6 +227,28 @@ def test_an_all_error_condition_keeps_its_traces_and_record_and_exits_2(capsys, 
     assert json.loads(recorded.read_text(encoding="utf-8")) == entity_only
 
 
+def test_a_run_goes_on_past_an_all_error_condition_and_then_exits_2(capsys, tmp_path):
+    # The replay answers FS but not SD's assertion step, so only SD is all Error.
+    replay = json.loads(resources.files("ruleweave").joinpath("data/replay/hearsay.replay.json").read_text("utf-8"))
+    answered = [record for record in replay if record["step"] in ("entity", "fs")]
+    (tmp_path / "partial.replay.json").write_text(json.dumps(answered), encoding="utf-8")
+    recorded = tmp_path / "recorded.replay.json"
+    code, out, err = run_hearsay(
+        capsys,
+        tmp_path / "out",
+        *("--replay", str(tmp_path / "partial.replay.json"), "--record", str(recorded)),
+        *("--condition", "SD", "--condition", "FS"),
+    )
+    assert (code, err) == (2, "stats error: no scored instances: every instance errored or none were run\n")
+    assert out.startswith("hearsay FS model=scripted: f1=") and out.endswith(f"recorded replay -> {recorded}\n")
+    for condition, outcomes in (("SD", {"Error"}), ("FS", {"Ok"})):
+        lines = (tmp_path / "out" / "hearsay" / condition / "scripted" / "traces.jsonl").read_text(encoding="utf-8")
+        assert {json.loads(line)["outcome"] for line in lines.splitlines()[1:]} == outcomes
+    assert (tmp_path / "out" / "hearsay" / "FS" / "scripted" / "report.csv").is_file()
+    key = lambda record: (record["instance_id"], record["step"])  # noqa: E731
+    assert sorted(json.loads(recorded.read_text(encoding="utf-8")), key=key) == sorted(answered, key=key)
+
+
 @pytest.mark.parametrize(
     "failure, exit_code, message",
     [

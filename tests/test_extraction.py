@@ -50,7 +50,7 @@ from ruleweave.extraction import (
     sanitize_local_name,
 )
 from ruleweave.ontology import Iri
-from ruleweave.tasklib import builtin_task
+from ruleweave.tasklib import INSTANCE_PREFIX, builtin_task
 
 SAMPLE_TEXT = (
     "At trial, a witness recounts that her neighbor told her the day after the "
@@ -111,6 +111,16 @@ def test_minted_names_are_valid_locals():
 def test_mint_individual_scheme():
     assert mint_individual("t1", "Statement") == Iri("inst", "t1_Statement")
     assert case_individual("t1") == Iri("inst", "t1")
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.text(), st.text())
+def test_minted_names_equal_the_checked_names_they_skip(instance_id, entity_name):
+    for minted, local in (
+        (mint_individual(instance_id, entity_name), f"{instance_id}_{entity_name}"),
+        (case_individual(instance_id), instance_id),
+    ):
+        assert minted == Iri(INSTANCE_PREFIX, sanitize_local_name(local)) == Iri.parse(minted)
 
 
 # -- prompt builders -----------------------------------------------------------

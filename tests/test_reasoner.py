@@ -427,6 +427,44 @@ def test_later_round_pivot_shapes_fire_and_match_the_oracle(antecedent, conseque
     assert_engine_matches_oracle(tbox, abox)
 
 
+def test_bindings_of_every_arity_keep_their_key_order():
+    # A ground rule (no variables), rules of 4 and 5 variables along a p-chain
+    # a -> b -> c -> d -> e, and one whose match only its second pivot finds:
+    # D(b) is derived in round 1, so round 2 reads it from the D delta.
+    tbox = TBox({"t": "http://example.org/t#", "i": "http://example.org/i#"})
+    t_r = Iri("t", "r")
+    for cls in (T_C, T_D, T_E):
+        tbox.declare_class(cls)
+    for prop in (T_P, T_Q, t_r):
+        tbox.declare_property(prop)
+    z, w = Variable("z"), Variable("w")
+    v, k, s, e, b = (Variable(name) for name in ("v", "k", "s", "e", "b"))
+    tbox.add_rule(SwrlRule("ground", (ClassAtom(T_E, IA),), ClassAtom(T_D, IB)))
+    tbox.add_rule(SwrlRule(
+        "four", (PropertyAtom(T_P, X, Y), PropertyAtom(T_P, Y, z), PropertyAtom(T_P, z, w)), PropertyAtom(T_Q, X, w)
+    ))
+    tbox.add_rule(SwrlRule(
+        "five",
+        (PropertyAtom(T_P, v, k), PropertyAtom(T_P, k, s), PropertyAtom(T_P, s, e), PropertyAtom(T_P, e, b)),
+        PropertyAtom(t_r, v, b),
+    ))
+    tbox.add_rule(SwrlRule("second", (PropertyAtom(T_P, X, Y), ClassAtom(T_D, Y)), ClassAtom(T_C, X)))
+    i_d, i_e = Iri("i", "d"), Iri("i", "e")
+    abox = ABox(tbox)
+    abox.assert_class(IA, T_E, "seed")
+    for subject, obj in ((IA, IB), (IB, IC), (IC, i_d), (i_d, i_e)):
+        abox.assert_property(subject, T_P, obj, "seed")
+    result = forward_chain(tbox, abox)
+    assert [(name, list(binding.items())) for name, binding in result.fired] == [
+        ("ground", []),
+        ("four", [("x", IA), ("y", IB), ("z", IC), ("w", i_d)]),
+        ("four", [("x", IB), ("y", IC), ("z", i_d), ("w", i_e)]),
+        ("five", [("v", IA), ("k", IB), ("s", IC), ("e", i_d), ("b", i_e)]),
+        ("second", [("y", IB), ("x", IA)]),
+    ]
+    assert_engine_matches_oracle(tbox, abox)
+
+
 def test_a_tbox_compiles_its_rules_once_until_a_rule_is_added(monkeypatch):
     # More rules than the 256 a process-wide memo of compiled rules once held.
     tbox = TBox({"t": "http://example.org/t#"})

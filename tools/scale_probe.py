@@ -14,8 +14,10 @@ the median `query.execute` time of the join
 
 over the chained ABox, and the median `restore_abox` time of the chained
 ABox's snapshot. Each figure is the median of REPEATS runs in one process;
-the row count is checked against the closed form, and the restored ABox
-against the chained one, so a wrong answer cannot pass as a fast one.
+the row count is checked against the closed form, the `fired` log against
+the derived count and its bindings' key order (x, y or x, y, z), and the
+restored ABox against the chained one, so a wrong answer cannot pass as a
+fast one.
 
 A second table gives the cyclic garbage collector's activity per op at each
 size, averaged over the same REPEATS runs and read through `gc.callbacks`:
@@ -118,6 +120,11 @@ def main() -> int:
             return 1
         if restored != result.abox:
             print(f"wrong answer at {nodes} nodes: the restored ABox differs")
+            return 1
+        # one `fired` entry per derived fact, its keys in the pivot's order
+        orders = {tuple(binding) for _, binding in result.fired}
+        if len(result.fired) != derived or not orders <= {("x", "y"), ("x", "y", "z")}:
+            print(f"wrong answer at {nodes} nodes: {len(result.fired)} fired, binding keys {sorted(orders)}")
             return 1
         print(
             f"{nodes}\t{derived}\t{chain_ms:.1f}\t{query_ms:.1f}\t{len(rows)}\t{restore_ms:.1f}"
