@@ -45,8 +45,7 @@ def sanitize_local_name(text: str) -> str:
     return cleaned if _NAME_RE.match(cleaned) else "_" + cleaned
 
 
-# A sanitized local name always matches the name grammar, so the two names
-# below skip Iri's checks.
+# A sanitized local name always fits the name grammar, so these two skip Iri's checks.
 def mint_individual(instance_id: str, entity_name: str) -> Iri:
     return sys.intern(f"{INSTANCE_PREFIX}:{sanitize_local_name(f'{instance_id}_{entity_name}')}")
 
